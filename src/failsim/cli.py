@@ -31,7 +31,7 @@ from . import rwalk as rw
 from . import universal as un
 from .analytic import expected_checkpoint_time, expected_restart_time
 from .dist import Exponential, format_distribution
-from .procgen import generate_markov_renewal, generate_mixture, generate_renewal
+from .procgen import ProcessError, generate_markov_renewal, generate_mixture, generate_renewal
 from .restart import PathologicalIterationError
 from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario
 
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
         rows = compare_report(sc)
         _print_compare(rows)
         return EXIT_OK
-    except (PathologicalIterationError, cp.ScanCapError) as exc:
+    except (PathologicalIterationError, cp.ScanCapError, ProcessError) as exc:
         print(f"engine pathology: {exc}", file=sys.stderr)
         return EXIT_ENGINE
 

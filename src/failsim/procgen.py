@@ -174,21 +174,30 @@ class MarkovRenewalSpec:
                 if p[i, j] > 0 and ((i, j) not in self.size_laws or (i, j) not in self.mark_laws):
                     raise ProcessError(f"missing laws for reachable transition ({i},{j})")
 
-    def stationary(self, tol: float = 1e-12, max_iter: int = 200000) -> np.ndarray:
-        """Stationary distribution by fixed-point iteration of pi P = pi."""
-        p = self.transition
-        pi = np.full(len(self.states), 1.0 / len(self.states))
-        for _ in range(max_iter):
-            nxt = pi @ p
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - pi)) < tol:
-                return nxt
-            pi = nxt
-        raise ProcessError("stationary distribution iteration did not converge")
+    def stationary(self) -> np.ndarray:
+        """Stationary distribution of the (irreducible) transition chain."""
+        return stationary_law(self.transition)
 
     def transition_pairs(self):
         k = len(self.states)
         return [(i, j) for i in range(k) for j in range(k) if self.transition[i, j] > 0]
+
+
+def stationary_law(p: np.ndarray) -> np.ndarray:
+    """Stationary law of an irreducible stochastic matrix by one linear solve.
+
+    Solves pi P = pi with its last balance equation replaced by sum(pi) = 1.
+    Unlike power iteration this also holds for periodic chains.  Rounding
+    can leave entries of order -1e-17 where the law is negligible; they are
+    clipped to zero and the law renormalized.
+    """
+    n = p.shape[0]
+    a = p.T - np.eye(n)
+    a[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.maximum(np.linalg.solve(a, b), 0.0)
+    return pi / pi.sum()
 
 
 def _irreducible(p: np.ndarray) -> bool:

@@ -6,6 +6,7 @@ import yaml
 
 from failsim.cli import EXIT_ENGINE, EXIT_OK, EXIT_VALIDATION, main
 from failsim.dist import Exponential
+from failsim.procgen import MarkovRenewalSpec, ProcessError
 from failsim.scenario import ScenarioError, apply_overrides, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -91,6 +92,41 @@ def test_engine_error_exit_code(tmp_path):
     doc["run"]["attempt_cap"] = 50
     path = write_yaml(tmp_path / "s.yaml", doc)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_ENGINE
+
+
+def periodic_markov_doc(n=2000):
+    return {
+        "model": "restart",
+        "process": {
+            "kind": "markov",
+            "states": ["a", "b", "c"],
+            "transition": [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]],
+            "size_laws": {"a->b": "exp(2)", "b->a": "exp(3)", "b->c": "exp(2)",
+                          "c->b": "exp(3)"},
+            "mark_laws": {"a->b": "exp(1)", "b->a": "exp(1)", "b->c": "exp(1)",
+                          "c->b": "exp(1)"},
+        },
+        "run": {"iterations": n, "seed": 4},
+    }
+
+
+def test_periodic_markov_chain_runs(tmp_path):
+    path = write_yaml(tmp_path / "s.yaml", periodic_markov_doc())
+    assert main(["validate", path]) == EXIT_OK
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_process_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(self):
+        raise ProcessError("stationary law unavailable")
+
+    monkeypatch.setattr(MarkovRenewalSpec, "stationary", broken)
+    path = write_yaml(tmp_path / "s.yaml", periodic_markov_doc())
+    for argv in (["run", path, "--out", str(tmp_path / "out")], ["compare", path]):
+        assert main(argv) == EXIT_ENGINE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stationary law unavailable" in err
+        assert "Traceback" not in err
 
 
 def test_compare_runs(tmp_path, capsys):

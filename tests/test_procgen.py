@@ -88,7 +88,18 @@ def alternating_spec():
 
 def test_mrp_stationary_alternating():
     pi = alternating_spec().stationary()
-    assert np.allclose(pi, [0.5, 0.5], atol=1e-10)
+    assert pi.tolist() == [0.5, 0.5]
+
+
+def test_mrp_stationary_periodic_chain():
+    # period 2: pi P^n never settles, so only a direct solve finds pi
+    p = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    laws = {(i, j): Exponential(2.0) for i in range(3) for j in range(3) if p[i, j] > 0}
+    spec = MarkovRenewalSpec(
+        states=("x", "y", "z"), transition=p, size_laws=laws,
+        mark_laws={k: Exponential(1.0) for k in laws},
+    )
+    assert np.allclose(spec.stationary(), [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
 
 
 def test_mrp_stationary_fixed_point():

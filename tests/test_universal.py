@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from failsim.dist import Exponential, Weibull
+from failsim import universal
+from failsim.dist import Deterministic, Exponential, Pareto, Weibull
 from failsim.procgen import generate_renewal
 from failsim.universal import (
     MarkLawError,
@@ -109,6 +111,58 @@ def test_stationary_distribution_is_a_fixed_point():
         row = kernel_row(d, 1.0, k)
         applied[: len(row)] += pi[k] * row
     assert np.max(np.abs(applied[:50] - pi[:50])) < 1e-6
+
+
+def scalar_stationary(d, lam, truncation):
+    """Reference law: the kernel entry by entry from kernel_row, and the
+    Perron eigenvector of its transpose."""
+    p = np.zeros((truncation, truncation))
+    for k in range(truncation):
+        row = kernel_row(d, lam, k)[:truncation]
+        p[k, : len(row)] = row
+    p /= p.sum(axis=1, keepdims=True)
+    vals, vecs = np.linalg.eig(p.T)
+    pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    return pi / pi.sum()
+
+
+pos = st.floats(min_value=0.2, max_value=5.0)
+size_laws = st.one_of(
+    st.builds(Exponential, pos),
+    st.builds(Pareto, pos, st.floats(min_value=1.2, max_value=5.0)),
+    st.builds(Weibull, pos, st.floats(min_value=0.4, max_value=4.0)),
+    st.builds(Deterministic, pos),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(size_laws, pos, st.integers(min_value=8, max_value=40))
+def test_stationary_matches_scalar_reference(d, lam, truncation):
+    pi = stationary_n_distribution(d, lam, truncation=truncation)
+    ref = scalar_stationary(d, lam, truncation)
+    assert np.max(np.abs(pi - ref)) <= 1e-10
+
+
+def test_zero_tolerance_takes_the_scalar_path(monkeypatch):
+    rows = []
+
+    def counted_row(d, lam, k):
+        rows.append(k)
+        return kernel_row(d, lam, k)
+
+    monkeypatch.setattr(universal, "kernel_row", counted_row)
+    d = Weibull(1.0, 2.0)
+    fast = stationary_n_distribution(d, 1.0, truncation=20)
+    assert rows == []
+    slow = stationary_n_distribution(d, 1.0, truncation=20, tol=0.0)
+    assert rows == list(range(20))
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+def test_exponential_zero_state_is_inverse_e():
+    # exp(1) sizes with rate-1 marks: P[N = 0] = e^{-1}
+    pi = stationary_n_distribution(Exponential(1.0), 1.0, truncation=80)
+    assert abs(pi[0] - math.exp(-1.0)) <= 1e-12
 
 
 def test_empirical_zero_frequency_matches_stationary():
