@@ -7,9 +7,13 @@ secured.  The first hop secures a checkpoint hit exactly on the boundary
 (inclusive rule); later hops require strict coverage — the two tie rules
 differ only on null sets for continuous laws.
 
-Bulk distributional sampling of the landed interval is vectorized across
-replications (`simulate_hops`), which is what the limit-law and
-inspection-paradox diagnostics run on.
+Every engine here is the same two scans: `restart.first_exceedance` finds
+each hop's winning attempt and `covered_checkpoints` walks it forward, both
+vectorized over tasks.  `run_checkpoint_iteration` is their draw-by-draw
+scalar reference, `run_checkpointing` chases one chain through hop maps
+computed for blocks of points, and `simulate_hops` runs many replications
+hop by hop, which is what the limit-law and inspection-paradox diagnostics
+run on.
 """
 
 from __future__ import annotations
@@ -21,19 +25,29 @@ import numpy as np
 
 from . import rng
 from .dist import Distribution, Exponential
-from .procgen import MarkedWindow
+from .procgen import MarkedWindow, keyed_sizes
 from .restart import (
     DEFAULT_ATTEMPT_CAP,
-    EfficiencyEstimate,
     PathologicalIterationError,
     efficiency_from_sums,
+    first_exceedance,
+    mark_iter,
 )
 
 DEFAULT_SCAN_CAP = 1_000_000
+# `run_checkpointing` computes the hops of up to MAX_BLOCK points ahead of
+# its chain, each held to SPECULATION_CAP attempts and covered checkpoints.
+MAX_BLOCK = 1 << 16
+SPECULATION_CAP = 1 << 14
 
 
 class ScanCapError(RuntimeError):
     """A single winning attempt covered more checkpoints than the cap allows."""
+
+    def __init__(self, index: int, cap: int):
+        super().__init__(f"hop from {index} exceeded scan cap {cap}")
+        self.index = index
+        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -53,6 +67,55 @@ class CheckpointIterationRecord:
             raise ValueError("overshoot must be positive")
 
 
+def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
+                        inclusive, scan_cap: int = DEFAULT_SCAN_CAP):
+    """Walk each task's winning mark forward from its checkpoint.
+
+    Task k has covered ``d_start[k]`` on reaching checkpoint start[k] + 1;
+    the keyed sizes after it are added one at a time, in chunks of 4
+    doubling to 4096, while the running sum stays below ``win[k]`` (or at
+    most ``win[k]`` where ``inclusive[k]``).  ``replication`` and
+    ``inclusive`` are one value or one per task.  Returns per task the
+    landed checkpoint, X_end - X_start as that running sum, and a flag for
+    a task that covered more than ``scan_cap`` checkpoints, which stops
+    scanning there.  A NaN winning mark covers nothing.
+    """
+    start = np.asarray(start, dtype=np.int64)
+    n = len(start)
+    reps = np.asarray(replication, dtype=np.int64)
+    inclusive = np.broadcast_to(inclusive, n)
+    end = start + 1
+    ideal = np.array(d_start, dtype=float)
+    capped = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    chunk = 4
+    while len(active):
+        pts = end[active][:, None] + np.arange(chunk)
+        sizes = keyed_sizes(d, seed, reps if reps.ndim == 0 else reps[active][:, None], pts)
+        sizes[:, 0] += ideal[active]  # fold the running sum in, as the kernel does
+        csum = np.cumsum(sizes, axis=1)
+        w = win[active][:, None]
+        fits = (csum < w) | (inclusive[active][:, None] & (csum == w))
+        add = fits.sum(axis=1)  # fits is prefix-true since csum never decreases
+        rows = np.arange(len(active))
+        ideal[active] = np.where(add > 0, csum[rows, add - 1], ideal[active])
+        end[active] += add
+        capped[active] = end[active] - start[active] > scan_cap
+        active = active[(add == chunk) & ~capped[active]]
+        chunk = min(chunk * 2, 4096)
+    return end, ideal, capped
+
+
+def raise_first_capped(points, capped, scan_capped, attempt_cap, scan_cap):
+    """Raise what the scalar walk raises at the first flagged point, if any."""
+    bad = np.flatnonzero(capped | scan_capped)
+    if len(bad):
+        i = bad[0]
+        if capped[i]:
+            raise PathologicalIterationError(int(points[i]), attempt_cap)
+        raise ScanCapError(int(points[i]), scan_cap)
+
+
 def run_checkpoint_iteration(
     window: MarkedWindow,
     start_index: int,
@@ -63,38 +126,27 @@ def run_checkpoint_iteration(
 ):
     """One hop from checkpoint ``start_index``; returns (record, window).
 
-    The returned window may be an extension of the input (same realization,
-    more points).
+    The scalar reference of every checkpoint engine: marks are drawn one at
+    a time from the point's keyed lane, like `restart.run_restart_iteration`,
+    and covered checkpoints are then secured one at a time.  The returned
+    window may be an extension of the input (same realization, more points).
     """
     if inclusive is None:
         inclusive = start_index == 0
     window = window.extended(start_index + 2)
     d_start = float(window.sizes[start_index])
-    law = window.mark_law_for(start_index)
-
+    stream = rng.CounterStream(window.seed, window.replication, rng.DOMAIN_MARK,
+                               point=start_index)
     total = 0.0
     attempts = 0
-    win_mark = None
-    batch = 16
-    while win_mark is None:
-        u = rng.lane_uniforms(
-            window.seed, window.replication, rng.DOMAIN_MARK, start_index, attempts + 1, batch
-        )
-        marks = np.asarray(law.quantile(u), dtype=float)
-        over = np.nonzero(marks > d_start)[0]
-        if len(over):
-            j = int(over[0])
-            total += float(marks[: j + 1].sum())
-            attempts += j + 1
-            win_mark = float(marks[j])
-        else:
-            total += float(marks.sum())
-            attempts += batch
-            if attempt_cap is not None and attempts >= attempt_cap:
-                raise PathologicalIterationError(start_index, attempt_cap)
-            batch = min(batch * 2, 4096)
+    for win_mark in mark_iter(window.mark_law_for(start_index), stream):
+        total += win_mark
+        attempts += 1
+        if win_mark > d_start:
+            break
+        if attempt_cap is not None and attempts >= attempt_cap:
+            raise PathologicalIterationError(start_index, attempt_cap)
 
-    # walk the winning duration forward and secure every covered checkpoint
     end = start_index + 1
     covered = d_start
     while True:
@@ -106,7 +158,7 @@ def run_checkpoint_iteration(
         covered = nxt
         end += 1
         if end - start_index > scan_cap:
-            raise ScanCapError(f"hop from {start_index} exceeded scan cap {scan_cap}")
+            raise ScanCapError(start_index, scan_cap)
 
     record = CheckpointIterationRecord(
         n=n, start_index=start_index, end_index=end, attempts=attempts,
@@ -123,57 +175,53 @@ def run_checkpointing(
 ):
     """Chain hops: iteration k starts where iteration k-1 landed.
 
-    Same draws and tie rules as `run_checkpoint_iteration`, but the window
-    is grown geometrically and coverage is resolved by binary search on the
-    cached point positions, keeping the whole chain near-linear.
+    Same draws, sums and tie rules as `run_checkpoint_iteration`, hop for
+    hop.  The hops of a block of points ahead of the chain are computed at
+    once, and the chain then follows the landed checkpoints through the
+    block; each new block is sized from the mean hop length so far.  A
+    point the chain skips costs at most ``SPECULATION_CAP`` attempts and
+    covered checkpoints, and never raises; a visited point over that is
+    redone alone under the real caps.  Returns the records and the window
+    extended past the last landed checkpoint.
     """
-    window = window.extended(max(2 * n_iterations, 64))
-    points = window.points
-    law = window.mark_law_for(0)
-    records = []
-    start = 0
-    for k in range(n_iterations):
-        d_start = float(window.sizes[start])
-        total = 0.0
-        attempts = 0
-        win_mark = None
-        batch = 16
-        while win_mark is None:
-            u = rng.lane_uniforms(
-                window.seed, window.replication, rng.DOMAIN_MARK, start, attempts + 1, batch
-            )
-            marks = np.asarray(law.quantile(u), dtype=float)
-            over = np.nonzero(marks > d_start)[0]
-            if len(over):
-                j = int(over[0])
-                total += float(marks[: j + 1].sum())
-                attempts += j + 1
-                win_mark = float(marks[j])
-            else:
-                total += float(marks.sum())
-                attempts += batch
-                if attempt_cap is not None and attempts >= attempt_cap:
-                    raise PathologicalIterationError(start, attempt_cap)
-                batch = min(batch * 2, 4096)
+    if window.kind not in ("renewal", "mixture"):
+        raise ValueError("checkpointing runs on renewal windows")
+    d, law = window.size_law, window.mark_law_for(0)
+    seed, rep = window.seed, window.replication
 
-        target = points[start] + win_mark
-        while target >= points[-1]:
-            window = window.extended(2 * window.n_points)
-            points = window.points
-        side = "right" if start == 0 else "left"  # inclusive first hop
-        end = int(np.searchsorted(points, target, side=side)) - 1
-        end = max(end, start + 1)
-        if end - start > scan_cap:
-            raise ScanCapError(f"hop from {start} exceeded scan cap {scan_cap}")
-        records.append(
-            CheckpointIterationRecord(
-                n=k, start_index=start, end_index=end, attempts=attempts,
-                ideal=float(points[end] - points[start]), actual=total,
-                overshoot=win_mark - d_start,
-            )
-        )
-        start = end
-    return records, window
+    def hops(pts, attempt_cap, scan_cap):
+        d_start = keyed_sizes(d, seed, rep, pts)
+        failures, wasted, win, capped = first_exceedance(
+            law, seed, rep, pts, d_start, 0, attempt_cap)
+        end, ideal, scan_capped = covered_checkpoints(
+            d, seed, rep, pts, d_start, win, pts == 0, scan_cap)
+        return d_start, failures, wasted, win, capped, end, ideal, scan_capped
+
+    spec_cap = SPECULATION_CAP if attempt_cap is None else min(attempt_cap, SPECULATION_CAP)
+    records = []
+    start = hi = 0
+    while len(records) < n_iterations:
+        if start >= hi:
+            span = start / len(records) if records else 1.0
+            left = n_iterations - len(records)
+            lo, hi = start, start + min(max(64, math.ceil(1.25 * span * left)), MAX_BLOCK)
+            block = hops(np.arange(lo, hi), spec_cap, min(scan_cap, SPECULATION_CAP))
+        d_start, failures, wasted, win, capped, end, ideal, scan_capped = (
+            col[start - lo] for col in block)
+        if capped or scan_capped:
+            d_start, failures, wasted, win, capped, end, ideal, scan_capped = (
+                col[0] for col in hops(np.array([start]), attempt_cap, scan_cap))
+            if capped:
+                raise PathologicalIterationError(start, attempt_cap)
+            if scan_capped:
+                raise ScanCapError(start, scan_cap)
+        records.append(CheckpointIterationRecord(
+            n=len(records), start_index=start, end_index=int(end),
+            attempts=int(failures) + 1, ideal=float(ideal),
+            actual=float(wasted + win), overshoot=float(win - d_start),
+        ))
+        start = int(end)
+    return records, window.extended(start + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,79 +248,21 @@ def simulate_hops(
     """
     reps = np.arange(first_rep, first_rep + n_reps, dtype=np.int64)
     start = np.zeros(n_reps, dtype=np.int64)
-
-    def size_at(rep_arr, point_arr):
-        u = rng.keyed_uniform(seed, rep_arr, rng.DOMAIN_SIZE, point_arr + 1)
-        return np.asarray(d.quantile(u), dtype=float)
-
     out = {}
     for hop in range(n_hops):
-        inclusive = hop == 0
-        d_start = size_at(reps, start)
-
-        win = np.zeros(n_reps)
-        attempts = np.zeros(n_reps, dtype=np.int64)
-        total = np.zeros(n_reps)
-        active = np.arange(n_reps)
-        consumed = np.zeros(n_reps, dtype=np.int64)
-        batch = 16
-        while len(active):
-            idx = consumed[active][:, None] + np.arange(1, batch + 1)[None, :]
-            u = rng.keyed_uniform(
-                seed, reps[active][:, None], rng.DOMAIN_MARK, start[active][:, None], idx
-            )
-            marks = np.asarray(l.quantile(u), dtype=float)
-            success = marks > d_start[active][:, None]
-            first = np.argmax(success, axis=1)
-            hit = success[np.arange(len(active)), first]
-            prefix = np.cumsum(marks, axis=1)
-
-            done = np.nonzero(hit)[0]
-            if len(done):
-                a_idx = active[done]
-                j = first[done]
-                win[a_idx] = marks[done, j]
-                attempts[a_idx] = consumed[a_idx] + j + 1
-                total[a_idx] += prefix[done, j]
-            cont = np.nonzero(~hit)[0]
-            if len(cont):
-                c_idx = active[cont]
-                total[c_idx] += prefix[cont, -1]
-                consumed[c_idx] += batch
-                if attempt_cap is not None and consumed[c_idx].min() >= attempt_cap:
-                    raise PathologicalIterationError(int(c_idx[0]), attempt_cap)
-            active = active[cont] if len(cont) else active[:0]
-            batch = min(batch * 2, 4096)
-
-        # secure checkpoints covered by the winning duration
-        end = start + 1
-        covered = d_start.copy()
-        active = np.arange(n_reps)
-        chunk = 4
-        while len(active):
-            pts = end[active][:, None] + np.arange(chunk)[None, :]
-            sizes = size_at(reps[active][:, None], pts)
-            csum = covered[active][:, None] + np.cumsum(sizes, axis=1)
-            wv = win[active][:, None]
-            cond = csum <= wv if inclusive else csum < wv
-            add = cond.sum(axis=1)  # cond is prefix-true since csum increases
-            sel = np.arange(len(active))
-            gained = np.where(add > 0, csum[sel, np.maximum(add - 1, 0)], covered[active])
-            covered[active] = gained
-            end[active] += add
-            full = add == chunk
-            if np.any((end - start)[active] > scan_cap):
-                raise ScanCapError(f"scan cap {scan_cap} exceeded")
-            active = active[full]
-            chunk = min(chunk * 2, 4096)
-
+        d_start = keyed_sizes(d, seed, reps, start)
+        failures, wasted, win, capped = first_exceedance(
+            l, seed, reps, start, d_start, 0, attempt_cap)
+        end, ideal, scan_capped = covered_checkpoints(
+            d, seed, reps, start, d_start, win, hop == 0, scan_cap)
+        raise_first_capped(start, capped, scan_capped, attempt_cap, scan_cap)
         out = {
-            "end_index": end.copy(),
-            "d_end": size_at(reps, end),
+            "end_index": end,
+            "d_end": keyed_sizes(d, seed, reps, end),
             "overshoot": win - d_start,
-            "ideal": covered.copy(),
-            "actual": total.copy(),
-            "attempts": attempts.copy(),
+            "ideal": ideal,
+            "actual": wasted + win,
+            "attempts": failures + 1,
         }
         start = end
     return out

@@ -56,8 +56,14 @@ class Distribution:
         return self.quantile(1.0 - np.asarray(s, dtype=float))
 
     def sample(self, stream) -> float:
-        """One inverse-CDF variate from a CounterStream."""
-        return float(self.quantile(stream.next_uniform()))
+        """One inverse-CDF variate from a CounterStream.
+
+        The quantile is taken of a one-element array: numpy's vectorized
+        loops for ``**`` and ``log1p`` can round differently from libm,
+        which its scalar path calls, and the vectorized engines use those
+        loops.  So a draw equals the same draw taken in bulk, bit for bit.
+        """
+        return float(self.quantile(np.array([stream.next_uniform()]))[0])
 
     def sample_n(self, stream, n: int) -> np.ndarray:
         return np.asarray(self.quantile(stream.uniforms(n)), dtype=float)

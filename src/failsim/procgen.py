@@ -83,13 +83,13 @@ class MarkedWindow:
             raise ProcessError("two-sided sizes are defined for renewal windows only")
         if 0 <= index < self.n_points:
             return float(self.sizes[index])
-        u = rng.keyed_uniform(self.seed, self.replication, rng.DOMAIN_SIZE, index + 1)
-        return float(self.size_law.quantile(u))
+        return float(keyed_sizes(self.size_law, self.seed, self.replication, [index])[0])
 
 
-def _renewal_sizes(d: Distribution, n_points: int, seed: int, replication: int) -> np.ndarray:
-    idx = np.arange(1, n_points + 1)
-    u = rng.keyed_uniform(seed, replication, rng.DOMAIN_SIZE, idx)
+def keyed_sizes(d: Distribution, seed, replication, points) -> np.ndarray:
+    """Renewal inter-arrivals at ``points`` (any signed indices, any shape),
+    each from its own keyed draw: the sizes of every renewal window."""
+    u = rng.keyed_uniform(seed, replication, rng.DOMAIN_SIZE, np.asarray(points) + 1)
     return np.asarray(d.quantile(u), dtype=float)
 
 
@@ -102,7 +102,7 @@ def generate_renewal(
 ) -> MarkedWindow:
     if n_points < 1:
         raise ProcessError("n_points must be >= 1")
-    sizes = _renewal_sizes(d, n_points, seed, replication)
+    sizes = keyed_sizes(d, seed, replication, np.arange(n_points))
     return MarkedWindow(
         kind="renewal",
         seed=seed,
@@ -126,7 +126,7 @@ def generate_mixture(
         raise ProcessError("p0 must lie in (0, 1]")
     u = float(rng.keyed_uniform(seed, replication, rng.DOMAIN_REGIME, 0))
     regime = 0 if u < p0 else 1
-    sizes = _renewal_sizes(d, 1, seed, replication)
+    sizes = keyed_sizes(d, seed, replication, np.arange(1))
     win = MarkedWindow(
         kind="mixture",
         seed=seed,

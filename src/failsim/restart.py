@@ -1,11 +1,12 @@
 """Sequential restart engine and asymptotic-efficiency estimation.
 
 A task of size D is attempted until the first failure mark strictly exceeds
-it; failed attempts cost their full mark.  The engine is vectorized: all
-pending tasks are scanned in doubling batches of marks, and tasks whose
-expected attempt count is enormous take a distributionally equivalent
-shortcut (geometric attempt count plus a Gaussian total for the failed
-attempts) so heavy-tailed sizes stay tractable.
+it; failed attempts cost their full mark.  `first_exceedance` is that
+search, vectorized over tasks; the restart, checkpoint and hop-map engines
+all run on it.  Tasks whose expected attempt count is enormous take a
+distributionally equivalent shortcut (geometric attempt count plus a
+Gaussian total for the failed attempts) so heavy-tailed sizes stay
+tractable.
 """
 
 from __future__ import annotations
@@ -88,7 +89,64 @@ def mark_iter(law: Distribution, stream):
         yield law.sample(stream)
 
 
-def _approx_tasks(sizes, points, law, seed, replication, attempt_cap, offsets=0):
+def _reaches_cap(failures, attempt_cap):
+    """`run_restart_iteration`'s rule: a task fails once its failures reach the cap."""
+    if attempt_cap is None:
+        return np.zeros(np.shape(failures), dtype=bool)
+    return np.asarray(failures) >= max(attempt_cap, 1)
+
+
+def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
+                     attempt_cap=DEFAULT_ATTEMPT_CAP):
+    """First mark strictly above each task's threshold, over many tasks at once.
+
+    Task k reads attempts offsets[k] + 1, offsets[k] + 2, ... of the mark
+    lane (seed, replication[k], MARK, points[k]) in batches of 8 marks,
+    doubling to 4096; ``replication`` is one value or one per task.  Returns
+    per task the failure count, the wasted time (the failed marks, summed
+    draw by draw as `run_restart_iteration` sums them), the winning mark,
+    and a flag for a task whose failures reach ``attempt_cap``.  A flagged
+    task stops scanning and its winning mark is NaN; this never raises, so
+    each caller raises for the flagged tasks it uses.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    n = len(points)
+    thresholds = np.broadcast_to(np.asarray(thresholds, dtype=float), n)
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), n)
+    reps = np.asarray(replication, dtype=np.int64)
+    failures = np.zeros(n, dtype=np.int64)
+    wasted = np.zeros(n)
+    win = np.full(n, np.nan)
+    capped = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    batch = 8
+    while len(active):
+        attempt_idx = (offsets[active] + failures[active])[:, None] + np.arange(1, batch + 1)
+        u = rng.keyed_uniform(
+            seed, reps if reps.ndim == 0 else reps[active][:, None], rng.DOMAIN_MARK,
+            points[active][:, None], attempt_idx,
+        )
+        marks = np.asarray(law.quantile(u), dtype=float)
+        success = marks > thresholds[active][:, None]
+        first = np.argmax(success, axis=1)
+        rows = np.arange(len(active))
+        hit = success[rows, first]
+        j = np.where(hit, first, batch)  # failures in this batch
+        won = marks[rows, first]
+        # fold the running total into the first column: the cumsum then adds
+        # one mark at a time, as the scalar loop does
+        marks[:, 0] += wasted[active]
+        prefix = np.cumsum(marks, axis=1)
+        wasted[active] = np.where(j > 0, prefix[rows, j - 1], wasted[active])
+        failures[active] += j
+        capped[active] = _reaches_cap(failures[active], attempt_cap)
+        win[active] = np.where(hit & ~capped[active], won, np.nan)
+        active = active[~hit & ~capped[active]]
+        batch = min(batch * 2, 4096)
+    return failures, wasted, win, capped
+
+
+def _approx_tasks(sizes, points, law, seed, replication, offsets=0):
     """Geometric attempt count + Gaussian failed-attempt total per task.
 
     Distributionally faithful for large attempt counts; flagged in records.
@@ -102,9 +160,6 @@ def _approx_tasks(sizes, points, law, seed, replication, attempt_cap, offsets=0)
         # tau geometric(q): P[tau > k] = (1-q)^k
         tau = np.floor(np.log(u1) / np.log1p(-q)) + 1.0
     tau = np.where(q <= 0.0, np.inf, tau)
-    if attempt_cap is not None and np.any(tau > attempt_cap):
-        bad = int(np.asarray(points)[np.argmax(tau > attempt_cap)])
-        raise PathologicalIterationError(bad, attempt_cap)
     nfail = tau - 1.0
     mu = np.array([float(law.truncated_mean(zz)) for zz in z])
     m2 = np.array([float(law.truncated_second_moment(zz)) for zz in z])
@@ -132,72 +187,40 @@ def simulate_restart_at_points(
     """Vectorized restart for tasks at explicit point indices.
 
     Mark i of the task at point n is keyed by (seed, replication, MARK, n, i),
-    so every exact iteration is auditable draw by draw.  ``attempt_offsets``
-    shifts each task's attempt indices (task repetition draws fresh marks
-    from a disjoint range of the same lane).  Returns
-    (failures, actual, approximated) arrays aligned with ``sizes``.
+    so every exact iteration is auditable draw by draw: `first_exceedance`
+    gives the same failures and times as `run_restart_iteration` over that
+    lane.  ``attempt_offsets`` shifts each task's attempt indices (task
+    repetition draws fresh marks from a disjoint range of the same lane).
+    Raises `PathologicalIterationError` for the first task whose failures
+    reach ``attempt_cap``.  Returns (failures, actual, approximated) arrays
+    aligned with ``sizes``.
     """
     sizes = np.asarray(sizes, dtype=float)
     points = np.asarray(points, dtype=np.int64)
     if attempt_offsets is None:
         attempt_offsets = np.zeros(len(sizes), dtype=np.int64)
-    attempt_offsets = np.asarray(attempt_offsets, dtype=np.int64)
-    n = len(sizes)
-    failures = np.zeros(n)
-    actual = np.zeros(n)
-    approximated = np.zeros(n, dtype=bool)
+    offsets = np.asarray(attempt_offsets, dtype=np.int64)
+    failures = np.zeros(len(sizes))
+    actual = np.zeros(len(sizes))
 
     with np.errstate(divide="ignore", over="ignore"):
         expected_attempts = 1.0 / np.asarray(law.tail(sizes), dtype=float)
-    heavy = expected_attempts > approx_threshold
-    if np.any(heavy):
-        idx = np.nonzero(heavy)[0]
-        nfail, act = _approx_tasks(
-            sizes[idx], points[idx], law, seed, replication, attempt_cap,
-            offsets=attempt_offsets[idx],
+    approximated = expected_attempts > approx_threshold
+    heavy = np.nonzero(approximated)[0]
+    if len(heavy):
+        failures[heavy], actual[heavy] = _approx_tasks(
+            sizes[heavy], points[heavy], law, seed, replication, offsets[heavy]
         )
-        failures[idx] = nfail
-        actual[idx] = act
-        approximated[idx] = True
+    exact = np.nonzero(~approximated)[0]
+    nfail, wasted, _, _ = first_exceedance(
+        law, seed, replication, points[exact], sizes[exact], offsets[exact], attempt_cap
+    )
+    failures[exact] = nfail
+    actual[exact] = wasted + sizes[exact]
 
-    active = np.nonzero(~heavy)[0]
-    consumed = np.zeros(len(active), dtype=np.int64)
-    wasted = np.zeros(len(active))
-    batch = 8
-    while len(active):
-        attempt_idx = (
-            attempt_offsets[active][:, None] + consumed[:, None]
-            + np.arange(1, batch + 1)[None, :]
-        )
-        u = rng.keyed_uniform(
-            seed, replication, rng.DOMAIN_MARK, points[active][:, None], attempt_idx
-        )
-        marks = np.asarray(law.quantile(u), dtype=float)
-        success = marks > sizes[active][:, None]
-        first = np.argmax(success, axis=1)
-        hit = success[np.arange(len(active)), first]
-        prefix = np.cumsum(marks, axis=1)
-
-        done = np.nonzero(hit)[0]
-        if len(done):
-            d_idx = active[done]
-            j = first[done]
-            failures[d_idx] = consumed[done] + j
-            pre = np.where(j > 0, prefix[done, np.maximum(j - 1, 0)], 0.0)
-            actual[d_idx] = wasted[done] + pre + sizes[d_idx]
-
-        cont = np.nonzero(~hit)[0]
-        if len(cont):
-            wasted = wasted[cont] + prefix[cont, -1]
-            consumed = consumed[cont] + batch
-            active = active[cont]
-            if attempt_cap is not None and int(consumed.min()) >= attempt_cap:
-                worst = int(points[active[np.argmin(consumed)]])
-                raise PathologicalIterationError(worst, attempt_cap)
-        else:
-            active = active[:0]
-        batch = min(batch * 2, 4096)
-
+    capped = _reaches_cap(failures, attempt_cap)
+    if np.any(capped):
+        raise PathologicalIterationError(int(points[np.argmax(capped)]), attempt_cap)
     return failures, actual, approximated
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .dist import Distribution
-from .procgen import MarkedWindow
+from .procgen import MarkedWindow, keyed_sizes
 from .restart import (
     APPROX_ATTEMPTS_THRESHOLD,
     DEFAULT_ATTEMPT_CAP,
@@ -96,13 +96,6 @@ def _walk_to_level(p: float, n_levels: int, seed: int, replication: int,
     return WalkTrace(p=p, steps=steps, positions=positions, ladder_epochs=ladder)
 
 
-def sizes_at(window: MarkedWindow, indices) -> np.ndarray:
-    """Inter-arrivals at arbitrary signed task indices (two-sided window)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    u = rng.keyed_uniform(window.seed, window.replication, rng.DOMAIN_SIZE, idx + 1)
-    return np.asarray(window.size_law.quantile(u), dtype=float)
-
-
 def simulate_walk_restart(
     window: MarkedWindow,
     p: float,
@@ -120,7 +113,8 @@ def simulate_walk_restart(
     """
     if window.kind not in ("renewal", "mixture"):
         raise ValueError("walk restart needs a renewal-type (two-sided) window")
-    trace = _walk_to_level(p, n_tasks, window.seed, window.replication)
+    d, seed, rep = window.size_law, window.seed, window.replication
+    trace = _walk_to_level(p, n_tasks, seed, rep)
     tasks = trace.positions[:-1]  # task worked at step k is zeta_{k-1}
     law = window.mark_laws[0]
 
@@ -132,16 +126,15 @@ def simulate_walk_restart(
     ordinal = np.empty(len(tasks), dtype=np.int64)
     ordinal[order] = np.arange(len(tasks)) - group_start
 
-    sizes = sizes_at(window, tasks)
     _, actual, _ = simulate_restart_at_points(
-        sizes, tasks, law, window.seed, window.replication,
+        keyed_sizes(d, seed, rep, tasks), tasks, law, seed, rep,
         attempt_cap=attempt_cap, approx_threshold=approx_threshold,
         attempt_offsets=ordinal * VISIT_STRIDE,
     )
 
     # block n: steps between first passage to n and first passage to n+1
     bounds = np.concatenate(([0], trace.ladder_epochs))
-    level_sizes = sizes_at(window, np.arange(n_tasks))
+    level_sizes = keyed_sizes(d, seed, rep, np.arange(n_tasks))
     block_totals = np.add.reduceat(actual, bounds[:-1])
     records = tuple(
         LevelRecord(

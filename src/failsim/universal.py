@@ -29,12 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from . import rng
+from .checkpoint import DEFAULT_SCAN_CAP, covered_checkpoints, raise_first_capped
 from .dist import Distribution, Exponential
-from .procgen import MarkedWindow, stationary_law
-from .restart import DEFAULT_ATTEMPT_CAP, PathologicalIterationError
-
-DEFAULT_SCAN_CAP = 1_000_000
+from .procgen import MarkedWindow, keyed_sizes, stationary_law
+from .restart import DEFAULT_ATTEMPT_CAP, first_exceedance
 
 
 class MarkLawError(ValueError):
@@ -74,74 +72,30 @@ class NProcess:
     boundary_ok: bool  # no hop observed longer than the lookback
 
 
-def compute_kappa(window: MarkedWindow, n: int, attempt_cap=DEFAULT_ATTEMPT_CAP,
-                  scan_cap: int = DEFAULT_SCAN_CAP) -> int:
-    """Single-hop target of point n (scalar reference implementation)."""
-    _require_exponential(window.mark_law_for(0))
-    k = compute_all_kappas(window, n + 1, attempt_cap=attempt_cap, scan_cap=scan_cap)
-    return int(k[n])
-
-
 def compute_all_kappas(
     window: MarkedWindow,
     n_points: int,
     attempt_cap=DEFAULT_ATTEMPT_CAP,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> np.ndarray:
-    """Vectorized kappa for points 0..n_points-1 of a renewal window."""
+    """kappa for points 0..n_points-1 of a renewal window.
+
+    The checkpoint engine's two scans over every point at once, with the
+    inclusive rule: kappa_n is the largest k with X_k - X_n <= the winning
+    mark, the ``end_index`` of ``run_checkpoint_iteration(window, n,
+    inclusive=True)``.  Raises as that walk does at the first point that
+    reaches ``attempt_cap`` or ``scan_cap``.
+    """
     if window.kind != "renewal":
         raise ValueError("kappa computation runs on renewal windows")
     law = _require_exponential(window.mark_law_for(0))
     seed, rep = window.seed, window.replication
-
-    def size_at(point_arr):
-        u = rng.keyed_uniform(seed, rep, rng.DOMAIN_SIZE, np.asarray(point_arr) + 1)
-        return np.asarray(window.size_law.quantile(u), dtype=float)
-
     pts = np.arange(n_points, dtype=np.int64)
-    d_start = size_at(pts)
-
-    # winning mark per point, batched doubling scan over each mark lane
-    win = np.zeros(n_points)
-    active = pts.copy()
-    consumed = np.zeros(n_points, dtype=np.int64)
-    batch = 16
-    while len(active):
-        idx = consumed[active][:, None] + np.arange(1, batch + 1)[None, :]
-        u = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, active[:, None], idx)
-        marks = np.asarray(law.quantile(u), dtype=float)
-        success = marks > d_start[active][:, None]
-        first = np.argmax(success, axis=1)
-        hit = success[np.arange(len(active)), first]
-        done = np.nonzero(hit)[0]
-        if len(done):
-            win[active[done]] = marks[done, first[done]]
-        cont = np.nonzero(~hit)[0]
-        if len(cont):
-            consumed[active[cont]] += batch
-            if attempt_cap is not None and consumed[active[cont]].min() >= attempt_cap:
-                raise PathologicalIterationError(int(active[cont][0]), attempt_cap)
-        active = active[cont] if len(cont) else active[:0]
-        batch = min(batch * 2, 4096)
-
-    # inclusive coverage scan: kappa_n = largest k with X_k - X_n <= win
-    kappa = pts + 1
-    covered = d_start.copy()
-    active = pts.copy()
-    chunk = 4
-    while len(active):
-        cand = kappa[active][:, None] + np.arange(chunk)[None, :]
-        sizes = size_at(cand)
-        csum = covered[active][:, None] + np.cumsum(sizes, axis=1)
-        cond = csum <= win[active][:, None]
-        add = cond.sum(axis=1)
-        sel = np.arange(len(active))
-        covered[active] = np.where(add > 0, csum[sel, np.maximum(add - 1, 0)], covered[active])
-        kappa[active] += add
-        if np.any((kappa - pts)[active] > scan_cap):
-            raise RuntimeError(f"scan cap {scan_cap} exceeded")
-        active = active[add == chunk]
-        chunk = min(chunk * 2, 4096)
+    d_start = keyed_sizes(window.size_law, seed, rep, pts)
+    _, _, win, capped = first_exceedance(law, seed, rep, pts, d_start, 0, attempt_cap)
+    kappa, _, scan_capped = covered_checkpoints(
+        window.size_law, seed, rep, pts, d_start, win, True, scan_cap)
+    raise_first_capped(pts, capped, scan_capped, attempt_cap, scan_cap)
     return kappa
 
 

@@ -68,8 +68,10 @@ def test_simulate_hops_agrees_with_chain():
     recs, _ = run_checkpointing(w, 5)
     out = simulate_hops(Exponential(1.0), Exponential(1.0), 5, seed=31, n_reps=1)
     assert out["end_index"][0] == recs[-1].end_index
-    assert out["actual"][0] == pytest.approx(recs[-1].actual)
-    assert out["overshoot"][0] == pytest.approx(recs[-1].overshoot)
+    assert out["attempts"][0] == recs[-1].attempts
+    assert out["actual"][0] == recs[-1].actual
+    assert out["ideal"][0] == recs[-1].ideal
+    assert out["overshoot"][0] == recs[-1].overshoot
 
 
 def test_scan_cap_raises():

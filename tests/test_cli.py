@@ -94,6 +94,13 @@ def test_engine_error_exit_code(tmp_path):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_ENGINE
 
 
+def test_universal_scan_cap_exit_code(tmp_path, capsys):
+    path = str(SCENARIOS / "universal_exp.yaml")
+    argv = ["run", path, "--override", "run.scan_cap=2", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_ENGINE
+    assert "exceeded scan cap 2" in capsys.readouterr().err
+
+
 def periodic_markov_doc(n=2000):
     return {
         "model": "restart",

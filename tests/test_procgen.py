@@ -15,6 +15,7 @@ from failsim.procgen import (
     generate_markov_renewal,
     generate_mixture,
     generate_renewal,
+    keyed_sizes,
 )
 
 
@@ -48,6 +49,14 @@ def test_extended_is_prefix_stable():
     big = w.extended(400)
     assert big.n_points >= 400
     assert np.array_equal(np.asarray(big.sizes)[:100], np.asarray(w.sizes))
+
+
+def test_size_at_matches_keyed_sizes_in_bulk():
+    # two-sided sizes of a Pareto window, one at a time and all at once
+    w = generate_renewal(Pareto(1.0, 2.0), 1, seed=3)
+    idx = np.arange(-2000, 0)
+    bulk = keyed_sizes(w.size_law, 3, 0, idx)
+    assert [w.size_at(int(i)) for i in idx] == bulk.tolist()
 
 
 def test_renewal_empirical_mean():

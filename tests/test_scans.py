@@ -1,0 +1,215 @@
+"""The shared mark scan and coverage scan against their scalar references.
+
+Every vectorized engine must give, task by task, what the draw-by-draw
+walks give: equal failures, attempts, landed checkpoints and times, or the
+same exception naming the same point.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from failsim import rng
+from failsim.checkpoint import (
+    DEFAULT_SCAN_CAP,
+    ScanCapError,
+    run_checkpoint_iteration,
+    run_checkpointing,
+    simulate_hops,
+)
+from failsim.dist import Exponential, Pareto, Weibull
+from failsim.procgen import generate_renewal
+from failsim.restart import (
+    PathologicalIterationError,
+    first_exceedance,
+    mark_iter,
+    run_restart_iteration,
+    simulate_restart_at_points,
+)
+from failsim.universal import compute_all_kappas
+
+
+def outcome(fn):
+    """The value of ``fn()``, or the kind and point of the error it raises."""
+    try:
+        return fn()
+    except (PathologicalIterationError, ScanCapError) as exc:
+        return type(exc).__name__, exc.index
+
+
+def size_laws():
+    return st.one_of(
+        st.builds(Exponential, st.floats(1.0, 4.0)),
+        st.builds(Pareto, st.floats(0.05, 0.3), st.floats(2.5, 4.0)),
+        st.builds(Weibull, st.floats(0.1, 0.5), st.floats(1.0, 2.0)),
+    )
+
+
+def mark_laws():
+    return st.one_of(
+        st.builds(Exponential, st.floats(0.5, 2.0)),
+        st.builds(Pareto, st.floats(0.05, 0.5), st.floats(1.5, 3.0)),
+        st.builds(Weibull, st.floats(0.5, 2.0), st.floats(0.5, 1.0)),
+    )
+
+
+caps = st.one_of(st.none(), st.integers(1, 20))
+scan_caps = st.one_of(st.just(DEFAULT_SCAN_CAP), st.integers(1, 4))
+seeds = st.integers(0, 2**31)
+
+
+def tractable(law, sizes, limit=1e4):
+    """Sizes whose expected attempt count keeps the scalar loop short."""
+    return np.asarray(law.tail(sizes), dtype=float) * limit > 1.0
+
+
+def restart_reference(sizes, points, law, seed, cap):
+    failures, actual = [], []
+    for size, n in zip(sizes, points):
+        stream = rng.CounterStream(seed, 0, rng.DOMAIN_MARK, point=int(n))
+        rec = run_restart_iteration(size, mark_iter(law, stream), attempt_cap=cap, n=int(n))
+        failures.append(rec.failures)
+        actual.append(rec.actual)
+    return failures, actual
+
+
+def chain_reference(window, n_hops, cap, scan_cap):
+    records, start = [], 0
+    for k in range(n_hops):
+        rec, window = run_checkpoint_iteration(window, start, n=k, attempt_cap=cap,
+                                               scan_cap=scan_cap)
+        records.append(rec)
+        start = rec.end_index
+    return records
+
+
+# -- one cap rule --------------------------------------------------------------
+
+
+def test_restart_cap_holds_inside_a_batch():
+    # the task fails 18 times; the cap is reached inside the second batch
+    with pytest.raises(PathologicalIterationError) as exc:
+        simulate_restart_at_points([3.0], [2], Exponential(1.0), 5, attempt_cap=10)
+    assert exc.value.index == 2
+    failures, _, _ = simulate_restart_at_points([3.0], [2], Exponential(1.0), 5,
+                                                attempt_cap=19)
+    assert failures[0] == 18
+
+
+def test_kernel_flags_instead_of_raising():
+    failures, wasted, win, capped = first_exceedance(
+        Exponential(1.0), 5, 0, [2, 2], [3.0, 3.0], 0, attempt_cap=None)
+    assert failures.tolist() == [18, 18] and not capped.any()
+    failures, wasted, win, capped = first_exceedance(
+        Exponential(1.0), 5, 0, [2, 3], [3.0, 0.01], 0, attempt_cap=10)
+    assert capped.tolist() == [True, False]
+    assert np.isnan(win[0]) and win[1] > 0.01
+
+
+def test_checkpoint_cap_counts_failures():
+    w = generate_renewal(Exponential(1.0), 1, seed=8, mark_law=Exponential(1.0))
+    free, _ = run_checkpointing(w, 200, attempt_cap=None)
+    cap = 3
+    first = next(r for r in free if r.attempts - 1 >= cap)
+    assert first.attempts < 16  # the winner lies inside the first batch
+    with pytest.raises(PathologicalIterationError) as exc:
+        run_checkpointing(w, 200, attempt_cap=cap)
+    assert exc.value.index == first.start_index
+    with pytest.raises(PathologicalIterationError) as exc:
+        run_checkpoint_iteration(w, first.start_index, attempt_cap=cap)
+    assert exc.value.index == first.start_index
+
+
+def test_simulate_hops_cap_names_the_point():
+    d, l = Exponential(1.0), Exponential(1.0)
+    cap = 4
+    start = np.zeros(30, dtype=np.int64)
+    expected = None
+    for hop in range(3):
+        for rep in range(30):
+            w = generate_renewal(d, 1, seed=12, replication=rep, mark_law=l)
+            rec, _ = run_checkpoint_iteration(w, int(start[rep]), inclusive=hop == 0,
+                                              attempt_cap=None)
+            if expected is None and rec.attempts - 1 >= cap:
+                expected = int(start[rep])
+            start[rep] = rec.end_index
+        if expected is not None:
+            break
+    assert expected is not None
+    with pytest.raises(PathologicalIterationError) as exc:
+        simulate_hops(d, l, 3, seed=12, n_reps=30, attempt_cap=cap)
+    assert exc.value.index == expected
+
+
+def test_skipped_capped_point_does_not_raise():
+    # seed 11: the chain jumps over point 5, whose task fails 50 times,
+    # while no visited point fails 12 times
+    w = generate_renewal(Exponential(1.0), 64, seed=11, mark_law=Exponential(1.0))
+    free, _ = run_checkpointing(w, 20, attempt_cap=None)
+    assert 5 not in {r.start_index for r in free}
+    with pytest.raises(PathologicalIterationError):
+        run_checkpoint_iteration(w, 5, attempt_cap=12)
+    capped, _ = run_checkpointing(w, 20, attempt_cap=12)
+    assert capped == free
+
+
+def test_speculative_points_are_bounded():
+    # weibull(1, 0.7) sizes, seed 3: point 7 takes 137,047 attempts, more
+    # than a speculative point may, and point 25 (size 24.7, about 5.5e10
+    # expected attempts) lies in the first block but past the chain's end
+    w = generate_renewal(Weibull(1.0, 0.7), 64, seed=3, mark_law=Exponential(1.0))
+    assert 1.0 / Exponential(1.0).tail(w.sizes[25]) > 1e10
+    records, _ = run_checkpointing(w, 15, attempt_cap=None)
+    assert records[6].attempts == 137_047 and records[-1].end_index == 25
+    assert records == chain_reference(w, 15, None, DEFAULT_SCAN_CAP)
+
+
+# -- differential: every engine against its scalar reference --------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(size_laws(), mark_laws(), caps, seeds)
+def test_restart_engine_matches_scalar(d, law, cap, seed):
+    sizes = np.asarray(generate_renewal(d, 40, seed, mark_law=law).sizes)
+    points = np.arange(40)
+    if cap is None:
+        keep = tractable(law, sizes)
+        sizes, points = sizes[keep], points[keep]
+    got = outcome(lambda: simulate_restart_at_points(
+        sizes, points, law, seed, attempt_cap=cap, approx_threshold=np.inf)[:2])
+    ref = outcome(lambda: restart_reference(sizes, points, law, seed, cap))
+    if isinstance(got, tuple) and isinstance(got[0], str):
+        assert got == ref
+    else:
+        assert got[0].tolist() == ref[0]
+        assert got[1].tolist() == ref[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(size_laws(), mark_laws(), caps, scan_caps, seeds)
+def test_checkpoint_chain_matches_scalar(d, law, cap, scan_cap, seed):
+    w = generate_renewal(d, 1, seed, mark_law=law)
+    got = outcome(lambda: run_checkpointing(w, 15, attempt_cap=cap, scan_cap=scan_cap)[0])
+    if cap is None and isinstance(got, list):
+        sizes = np.array([w.extended(r.start_index + 1).sizes[r.start_index] for r in got])
+        if not tractable(law, sizes).all():
+            return
+    ref = outcome(lambda: chain_reference(w, 15, cap, scan_cap))
+    assert got == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(size_laws(), st.floats(0.5, 2.0), caps, scan_caps, seeds)
+def test_kappas_match_scalar(d, rate, cap, scan_cap, seed):
+    law = Exponential(rate)
+    w = generate_renewal(d, 41, seed, mark_law=law)
+    if cap is None and not tractable(law, w.sizes[:40]).all():
+        return
+    got = outcome(lambda: compute_all_kappas(w, 40, attempt_cap=cap,
+                                             scan_cap=scan_cap).tolist())
+    ref = outcome(lambda: [
+        run_checkpoint_iteration(w, n, inclusive=True, attempt_cap=cap,
+                                 scan_cap=scan_cap)[0].end_index
+        for n in range(40)
+    ])
+    assert got == ref

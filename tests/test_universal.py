@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from failsim import universal
+from failsim.checkpoint import run_checkpoint_iteration
 from failsim.dist import Deterministic, Exponential, Pareto, Weibull
 from failsim.procgen import generate_renewal
 from failsim.universal import (
     MarkLawError,
     analytic_n_kernel,
     compute_all_kappas,
-    compute_kappa,
     compute_n_process,
     kernel_row,
     stationary_n_distribution,
@@ -25,11 +25,12 @@ def window(n=3000, seed=5):
     return generate_renewal(Exponential(1.0), n, seed=seed, mark_law=Exponential(1.0))
 
 
-def test_kappa_scalar_matches_vectorized():
+def test_kappa_matches_scalar_checkpoint_reference():
     w = window(500)
     kappa = compute_all_kappas(w, 400)
-    for n in (0, 1, 7, 100, 399):
-        assert compute_kappa(w, n) == kappa[n]
+    for n in range(400):
+        ref, w = run_checkpoint_iteration(w, n, inclusive=True)
+        assert ref.end_index == kappa[n]
 
 
 def test_kappa_exceeds_start():
