@@ -10,10 +10,11 @@ differ only on null sets for continuous laws.
 Every engine here is the same two scans: `restart.first_exceedance` finds
 each hop's winning attempt and `covered_checkpoints` walks it forward, both
 vectorized over tasks.  `run_checkpoint_iteration` is their draw-by-draw
-scalar reference, `run_checkpointing` chases one chain through hop maps
-computed for blocks of points, and `simulate_hops` runs many replications
-hop by hop, which is what the limit-law and inspection-paradox diagnostics
-run on.
+scalar reference, returning one `CheckpointIterationRecord`;
+`run_checkpointing` chases one chain through hop maps computed for blocks
+of points and returns a numpy record array, one row per hop; and
+`simulate_hops` runs many replications hop by hop, which is what the
+limit-law and inspection-paradox diagnostics run on.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class ScanCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class CheckpointIterationRecord:
+    """One hop of the scalar reference `run_checkpoint_iteration`."""
+
     n: int
     start_index: int
     end_index: int
@@ -181,8 +184,11 @@ def run_checkpointing(
     block; each new block is sized from the mean hop length so far.  A
     point the chain skips costs at most ``SPECULATION_CAP`` attempts and
     covered checkpoints, and never raises; a visited point over that is
-    redone alone under the real caps.  Returns the records and the window
-    extended past the last landed checkpoint.
+    redone alone under the real caps.  Returns a record array, one row per
+    hop with the columns ``n``, ``start_index``, ``end_index``,
+    ``attempts``, ``ideal``, ``actual`` and ``overshoot`` of
+    `CheckpointIterationRecord`, and the window extended past the last
+    landed checkpoint.
     """
     if window.kind not in ("renewal", "mixture"):
         raise ValueError("checkpointing runs on renewal windows")
@@ -190,37 +196,43 @@ def run_checkpointing(
     seed, rep = window.seed, window.replication
 
     def hops(pts, attempt_cap, scan_cap):
+        """Columns end, attempts, ideal, actual, overshoot of the hops from
+        ``pts``, and the two cap flags."""
         d_start = keyed_sizes(d, seed, rep, pts)
         failures, wasted, win, capped = first_exceedance(
             law, seed, rep, pts, d_start, 0, attempt_cap)
         end, ideal, scan_capped = covered_checkpoints(
             d, seed, rep, pts, d_start, win, pts == 0, scan_cap)
-        return d_start, failures, wasted, win, capped, end, ideal, scan_capped
+        return [end, failures + 1, ideal, wasted + win, win - d_start], capped, scan_capped
 
     spec_cap = SPECULATION_CAP if attempt_cap is None else min(attempt_cap, SPECULATION_CAP)
-    records = []
-    start = hi = 0
-    while len(records) < n_iterations:
-        if start >= hi:
-            span = start / len(records) if records else 1.0
-            left = n_iterations - len(records)
-            lo, hi = start, start + min(max(64, math.ceil(1.25 * span * left)), MAX_BLOCK)
-            block = hops(np.arange(lo, hi), spec_cap, min(scan_cap, SPECULATION_CAP))
-        d_start, failures, wasted, win, capped, end, ideal, scan_capped = (
-            col[start - lo] for col in block)
-        if capped or scan_capped:
-            d_start, failures, wasted, win, capped, end, ideal, scan_capped = (
-                col[0] for col in hops(np.array([start]), attempt_cap, scan_cap))
-            if capped:
-                raise PathologicalIterationError(start, attempt_cap)
-            if scan_capped:
-                raise ScanCapError(start, scan_cap)
-        records.append(CheckpointIterationRecord(
-            n=len(records), start_index=start, end_index=int(end),
-            attempts=int(failures) + 1, ideal=float(ideal),
-            actual=float(wasted + win), overshoot=float(win - d_start),
-        ))
-        start = int(end)
+    chain, parts = [], []  # the visited points; their columns, block by block
+    start = 0
+    while len(chain) < n_iterations:
+        span = start / len(chain) if chain else 1.0
+        left = n_iterations - len(chain)
+        lo, hi = start, start + min(max(64, math.ceil(1.25 * span * left)), MAX_BLOCK)
+        cols, capped, scan_capped = hops(np.arange(lo, hi), spec_cap,
+                                         min(scan_cap, SPECULATION_CAP))
+        first = len(chain)
+        while start < hi and len(chain) < n_iterations:
+            i = start - lo
+            if capped[i] or scan_capped[i]:
+                redo, *flags = hops(np.array([start]), attempt_cap, scan_cap)
+                raise_first_capped([start], *flags, attempt_cap, scan_cap)
+                for col, value in zip(cols, redo):
+                    col[i] = value[0]
+            chain.append(start)
+            start = int(cols[0][i])
+        parts.append([col[np.array(chain[first:]) - lo] for col in cols])
+    start_index = np.array(chain, dtype=np.int64)
+    end, attempts, ideal, actual, overshoot = (np.concatenate(c) for c in zip(*parts))
+    if np.any(end < start_index + 1) or np.any(overshoot <= 0):
+        raise ValueError("a hop must advance at least one checkpoint, by a positive overshoot")
+    records = np.rec.fromarrays(
+        [np.arange(n_iterations), start_index, end, attempts, ideal, actual, overshoot],
+        names="n,start_index,end_index,attempts,ideal,actual,overshoot",
+    )
     return records, window.extended(start + 1)
 
 
@@ -328,15 +340,13 @@ def sample_first_interval_after_shift(
 def checkpoint_efficiency(records, tolerance: float = 0.01, burn_in: int | None = None):
     """Efficiency estimate; with ``burn_in`` also the post-burn-in ratio of
     separately averaged ideal and actual (the limit-law companion)."""
-    est = efficiency_from_sums(
-        [r.ideal for r in records], [r.actual for r in records], tolerance
-    )
+    est = efficiency_from_sums(records.ideal, records.actual, tolerance)
     if burn_in is None:
         return est
     tail = records[burn_in:]
-    if not tail:
+    if not len(tail):
         raise ValueError("burn-in leaves no records")
-    companion = float(np.mean([r.ideal for r in tail]) / np.mean([r.actual for r in tail]))
+    companion = float(np.mean(tail.ideal) / np.mean(tail.actual))
     return est, companion
 
 

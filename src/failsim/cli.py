@@ -57,18 +57,13 @@ def _make_window(sc: Scenario, rep: int):
 
 
 def _curve_grid(n: int, points: int):
-    grid = np.unique(np.geomspace(1, n, points).astype(int))
-    return grid
+    return np.unique(np.geomspace(1, n, points).astype(int))
 
 
-def _running_ratio(ideal, actual, grid):
-    ci = np.cumsum(ideal)
-    ca = np.cumsum(actual)
-    out = []
-    for k in grid:
-        denom = ca[k - 1]
-        out.append(float(ci[k - 1] / denom) if math.isfinite(denom) and denom > 0 else 0.0)
-    return out
+def _ratio_curve(records, points: int):
+    """(N, running efficiency) pairs on the curve grid."""
+    grid = _curve_grid(len(records), points)
+    return list(zip(grid.tolist(), rs.running_ratio(records.ideal, records.actual, grid)))
 
 
 def _mean_se(xs):
@@ -89,8 +84,9 @@ def _est_dict(e: rs.EfficiencyEstimate):
 
 # ---------------------------------------------------------------------------
 # Per-model runners: each returns (per_rep, estimates, diagnostics, traces,
-# curves) where traces[rep] = (header, rows) and curves[rep] = list of
-# (N, value) pairs.
+# curves) where traces[rep] = (header, columns), each column an array or a
+# list with one value per trace row, and curves[rep] = list of (N, value)
+# pairs.
 
 
 def _run_restart(sc: Scenario):
@@ -103,19 +99,15 @@ def _run_restart(sc: Scenario):
         if window.regime is not None:
             entry["regime"] = window.regime
         per_rep.append(entry)
-        header = ("n", "ideal", "failures", "actual", "state", "regime")
-        rows = [
-            (r.n, r.ideal, r.failures, r.actual,
-             "" if r.state is None else r.state,
-             "" if r.regime is None else r.regime)
-            for r in records
-        ]
-        traces.append((header, rows))
-        grid = _curve_grid(sc.iterations, sc.curve_points)
-        curves.append(list(zip(
-            grid.tolist(),
-            _running_ratio([r.ideal for r in records], [r.actual for r in records], grid),
-        )))
+        n = len(records)
+        states = ([""] * n if window.mrp_spec is None else
+                  np.array(window.mrp_spec.states, dtype=object)[window.state_labels[:n]])
+        regime = "" if window.regime is None else window.regime
+        traces.append((
+            ("n", "ideal", "failures", "actual", "state", "regime"),
+            [records.n, records.ideal, records.failures, records.actual, states, [regime] * n],
+        ))
+        curves.append(_ratio_curve(records, sc.curve_points))
     ratios = [p["ratio"] for p in per_rep]
     mean, se = _mean_se(ratios)
     estimates = {"efficiency": {"mean": mean, "se": se, "per_rep": ratios}}
@@ -140,17 +132,8 @@ def _run_checkpoint(sc: Scenario):
             est = cp.checkpoint_efficiency(records, sc.tolerance)
         entry = _est_dict(est)
         per_rep.append(entry)
-        header = ("n", "start_index", "end_index", "attempts", "ideal", "actual", "overshoot")
-        rows = [
-            (r.n, r.start_index, r.end_index, r.attempts, r.ideal, r.actual, r.overshoot)
-            for r in records
-        ]
-        traces.append((header, rows))
-        grid = _curve_grid(sc.iterations, sc.curve_points)
-        curves.append(list(zip(
-            grid.tolist(),
-            _running_ratio([r.ideal for r in records], [r.actual for r in records], grid),
-        )))
+        traces.append((records.dtype.names, [records[f] for f in records.dtype.names]))
+        curves.append(_ratio_curve(records, sc.curve_points))
     ratios = [p["ratio"] for p in per_rep]
     mean, se = _mean_se(ratios)
     estimates = {"efficiency": {"mean": mean, "se": se, "per_rep": ratios}}
@@ -188,13 +171,12 @@ def _run_universal(sc: Scenario):
             "boundary_ok": nproc.boundary_ok,
             "empirical_kernel": empirical,
         })
-        header = ("n", "kappa", "N")
-        rows = [
-            (n, int(kappa[n]),
-             int(vals[n - sc.lookback]) if n >= sc.lookback else "")
-            for n in range(sc.iterations)
-        ]
-        traces.append((header, rows))
+        blank = min(sc.lookback, sc.iterations)
+        traces.append((
+            ("n", "kappa", "N"),
+            [np.arange(sc.iterations), kappa[:sc.iterations],
+             [""] * blank + vals[: sc.iterations - blank].tolist()],
+        ))
         span = len(vals)
         grid = _curve_grid(span, sc.curve_points)
         cum = np.cumsum(vals == 0)
@@ -234,19 +216,13 @@ def _run_rwalk(sc: Scenario):
         except ValueError as exc:
             entry["block_error"] = str(exc)
         per_rep.append(entry)
-        header = ("step", "position", "task_index", "visit_time")
-        rows = [
-            (k + 1, int(run.trace.positions[k + 1]), int(run.task_index[k]),
-             float(run.visit_times[k]))
-            for k in range(len(run.task_index))
-        ]
-        traces.append((header, rows))
-        grid = _curve_grid(len(run.records), sc.curve_points)
-        curves.append(list(zip(
-            grid.tolist(),
-            _running_ratio([r.ideal for r in run.records],
-                           [r.actual for r in run.records], grid),
-        )))
+        steps = len(run.task_index)
+        traces.append((
+            ("step", "position", "task_index", "visit_time"),
+            [np.arange(1, steps + 1), run.trace.positions[1:], run.task_index,
+             run.visit_times],
+        ))
+        curves.append(_ratio_curve(run.records, sc.curve_points))
     consts = rw.estimate_walk_constants(sc.walk_p, sc.seed, n_walks=1000, horizon=5000)
     direct = [p["direct"]["ratio"] for p in per_rep if "direct" in p]
     formula = [p["formula_ratio"] for p in per_rep if "formula_ratio" in p]
@@ -321,11 +297,12 @@ def run_scenario(sc: Scenario, out_dir: Path) -> dict:
             for n, v in curve:
                 w.writerow((rep, n, repr(v) if isinstance(v, float) else v))
     if sc.write_traces:
-        for rep, (header, rows) in enumerate(traces):
+        for rep, (header, columns) in enumerate(traces):
+            columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
             with open(out_dir / f"rep_{rep}_trace.csv", "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(header)
-                for row in rows:
+                for row in zip(*columns):
                     w.writerow([repr(x) if isinstance(x, float) else x for x in row])
     return summary
 
@@ -349,7 +326,7 @@ def compare_report(sc: Scenario):
         et = expected_restart_time(sc.size_law, sc.mark_law)
         window = _make_window(sc, 0)
         records = rs.run_restart(window, sc.iterations, attempt_cap=sc.attempt_cap)
-        actual = np.array([r.actual for r in records])
+        actual = records.actual
         mean_a, se_a = _mean_se(actual)
         if et.finite:
             rows.append(("E[actual time]", et.value, mean_a, se_a,

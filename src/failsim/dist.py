@@ -273,9 +273,17 @@ class FiniteMixture(Distribution):
         )
         if lo >= hi:
             return hi
-        return optimize.brentq(
-            lambda z: float(self.log_tail(z)) - math.log(s), lo, hi, xtol=1e-14, rtol=8.9e-16
-        )
+
+        def excess(z):
+            return float(self.log_tail(z)) - math.log(s)
+
+        # rounding can leave no sign change, e.g. when all components are
+        # one law and hi is the root; brentq's tie rule (lo, then hi) is kept
+        if excess(lo) <= 0.0:
+            return lo
+        if excess(hi) >= 0.0:
+            return hi
+        return optimize.brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
     def isf(self, s):
         s = np.asarray(s, dtype=float)

@@ -6,7 +6,10 @@ search, vectorized over tasks; the restart, checkpoint and hop-map engines
 all run on it.  Tasks whose expected attempt count is enormous take a
 distributionally equivalent shortcut (geometric attempt count plus a
 Gaussian total for the failed attempts) so heavy-tailed sizes stay
-tractable.
+tractable.  `run_restart` returns a numpy record array, one row per task,
+and `efficiency` reads its ``ideal`` and ``actual`` columns;
+`run_restart_iteration`, the draw-by-draw scalar reference, returns one
+`RestartIterationRecord`.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ class PathologicalIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RestartIterationRecord:
+    """One task of the scalar reference `run_restart_iteration`."""
+
     n: int
     ideal: float
     failures: float
     actual: float
-    state: object = None
-    regime: int | None = None
-    approximated: bool = False
 
     def __post_init__(self):
         if self.actual < self.ideal and not math.isnan(self.actual):
@@ -224,18 +226,19 @@ def simulate_restart_at_points(
     return failures, actual, approximated
 
 
-def simulate_restart_sizes(sizes, law, seed, replication=0, point_offset=0, **kw):
-    points = np.arange(len(sizes), dtype=np.int64) + point_offset
-    return simulate_restart_at_points(sizes, points, law, seed, replication, **kw)
-
-
 def run_restart(
     window: MarkedWindow,
     n_iterations: int,
     attempt_cap=DEFAULT_ATTEMPT_CAP,
     approx_threshold: float = APPROX_ATTEMPTS_THRESHOLD,
-):
-    """Restart every inter-arrival of the window in sequence."""
+) -> np.recarray:
+    """Restart every inter-arrival of the window in sequence.
+
+    Returns one row per task as a record array with the columns ``n``,
+    ``ideal`` (the size), ``failures``, ``actual`` and ``approximated``
+    (the task took the geometric/Gaussian shortcut); read a column as
+    ``records.actual`` or a task as ``records[n].actual``.
+    """
     window = window.extended(n_iterations)
     sizes = window.sizes[:n_iterations]
     failures = np.zeros(n_iterations)
@@ -249,49 +252,37 @@ def run_restart(
     )
     for t in np.unique(law_index):
         sel = np.nonzero(law_index == t)[0]
-        f, a, ap = simulate_restart_at_points(
+        failures[sel], actual[sel], approximated[sel] = simulate_restart_at_points(
             sizes[sel], sel, window.mark_laws[t], window.seed, window.replication,
             attempt_cap=attempt_cap, approx_threshold=approx_threshold,
         )
-        failures[sel] = f
-        actual[sel] = a
-        approximated[sel] = ap
-
-    records = []
-    for i in range(n_iterations):
-        state = None
-        if window.state_labels is not None and window.mrp_spec is not None:
-            state = window.mrp_spec.states[window.state_labels[i]]
-        records.append(
-            RestartIterationRecord(
-                n=i, ideal=float(sizes[i]), failures=float(failures[i]),
-                actual=float(actual[i]), state=state, regime=window.regime,
-                approximated=bool(approximated[i]),
-            )
-        )
-    return records
+    if np.any(actual < sizes):
+        raise ValueError("actual time cannot be below ideal time")
+    return np.rec.fromarrays(
+        [np.arange(n_iterations), sizes, failures, actual, approximated],
+        names="n,ideal,failures,actual,approximated",
+    )
 
 
 # ---------------------------------------------------------------------------
 # Efficiency estimation
 
 
+def running_ratio(ideal, actual, ks) -> list:
+    """Sum of ``ideal`` over sum of ``actual`` across the first k tasks, for
+    each k in ``ks``; 0 unless that sum of ``actual`` is finite and positive."""
+    idx = np.asarray(ks) - 1
+    num = np.cumsum(ideal, dtype=float)[idx]
+    den = np.cumsum(actual, dtype=float)[idx]
+    return [float(i / a) if math.isfinite(a) and a > 0 else 0.0 for i, a in zip(num, den)]
+
+
 def efficiency_from_sums(ideal, actual, tolerance: float = 0.01) -> EfficiencyEstimate:
     """Running-ratio estimate with dyadic-window convergence diagnostics."""
-    ideal = np.asarray(ideal, dtype=float)
-    actual = np.asarray(actual, dtype=float)
     n = len(ideal)
     if n == 0:
         raise ValueError("no records")
-    cum_i = np.cumsum(ideal)
-    cum_a = np.cumsum(actual)
-
-    def ratio_at(k):
-        a = cum_a[k - 1]
-        return float(cum_i[k - 1] / a) if math.isfinite(a) and a > 0 else 0.0
-
-    ws = (max(n // 4, 1), max(n // 2, 1), n)
-    window_ratios = tuple(ratio_at(k) for k in ws)
+    window_ratios = tuple(running_ratio(ideal, actual, (max(n // 4, 1), max(n // 2, 1), n)))
     r1, r2, r3 = window_ratios
     converged = r3 > 0 and abs(r3 - r2) / r3 < tolerance
     if r1 - r2 > tolerance * max(r1, 1e-300) and r2 - r3 > tolerance * max(r2, 1e-300):
@@ -301,15 +292,14 @@ def efficiency_from_sums(ideal, actual, tolerance: float = 0.01) -> EfficiencyEs
     else:
         trend = "Stable"
     return EfficiencyEstimate(
-        ratio=min(ratio_at(n), 1.0), n_iterations=n,
+        ratio=min(r3, 1.0), n_iterations=n,
         window_ratios=window_ratios, converged=bool(converged), trend=trend,
     )
 
 
 def efficiency(records, tolerance: float = 0.01) -> EfficiencyEstimate:
-    return efficiency_from_sums(
-        [r.ideal for r in records], [r.actual for r in records], tolerance
-    )
+    """`efficiency_from_sums` over the ``ideal`` and ``actual`` columns."""
+    return efficiency_from_sums(records.ideal, records.actual, tolerance)
 
 
 # ---------------------------------------------------------------------------

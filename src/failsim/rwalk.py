@@ -43,19 +43,11 @@ class WalkTrace:
 
 
 @dataclass(frozen=True)
-class LevelRecord:
-    level: int
-    ideal: float
-    actual: float
-    n_visits: int
-
-
-@dataclass(frozen=True)
 class WalkRun:
     trace: WalkTrace
     task_index: np.ndarray  # task worked at each step
     visit_times: np.ndarray  # actual time of each visit
-    records: tuple  # LevelRecord per completed level
+    records: np.recarray  # per completed level: level, ideal, actual, n_visits
 
 
 def simulate_walk(p: float, n_steps: int, seed: int, replication: int = 0,
@@ -109,7 +101,10 @@ def simulate_walk_restart(
     Visit r to task t draws marks from attempts r*2^32 + 1, ... of lane t:
     fresh i.i.d. marks per visit from one keyed stream per task, and the
     first visit uses exactly the lane `restart.run_restart` would, so p = 0
-    reproduces the plain restart run bit for bit.
+    reproduces the plain restart run bit for bit.  ``records`` of the
+    returned run is a record array, one row per level with the columns
+    ``level``, ``ideal`` (its size), ``actual`` (the time of the steps
+    from the first passage to that level to the next) and ``n_visits``.
     """
     if window.kind not in ("renewal", "mixture"):
         raise ValueError("walk restart needs a renewal-type (two-sided) window")
@@ -134,16 +129,11 @@ def simulate_walk_restart(
 
     # block n: steps between first passage to n and first passage to n+1
     bounds = np.concatenate(([0], trace.ladder_epochs))
-    level_sizes = keyed_sizes(d, seed, rep, np.arange(n_tasks))
-    block_totals = np.add.reduceat(actual, bounds[:-1])
-    records = tuple(
-        LevelRecord(
-            level=n,
-            ideal=float(level_sizes[n]),
-            actual=float(block_totals[n]),
-            n_visits=int(bounds[n + 1] - bounds[n]),
-        )
-        for n in range(n_tasks)
+    levels = np.arange(n_tasks)
+    records = np.rec.fromarrays(
+        [levels, keyed_sizes(d, seed, rep, levels), np.add.reduceat(actual, bounds[:-1]),
+         np.diff(bounds)],
+        names="level,ideal,actual,n_visits",
     )
     return WalkRun(trace=trace, task_index=tasks, visit_times=actual, records=records)
 
@@ -201,9 +191,8 @@ def walk_efficiency(run: WalkRun, epochs: np.ndarray, min_blocks: int = 100,
     epochs = np.asarray(epochs, dtype=np.int64)
     if len(epochs) - 1 < min_blocks:
         raise ValueError(f"need at least {min_blocks} complete regeneration blocks")
-    ideal = np.array([r.ideal for r in run.records])
-    actual = np.array([r.actual for r in run.records])
-    direct = efficiency_from_sums(ideal, actual, tolerance)
+    ideal = run.records.ideal
+    direct = efficiency_from_sums(ideal, run.records.actual, tolerance)
 
     cum = np.concatenate(([0.0], np.cumsum(run.visit_times)))
     block_times = cum[epochs[1:]] - cum[epochs[:-1]]

@@ -246,8 +246,8 @@ def test_criterion_9_random_walk(capfd):
     run0 = rwalk.simulate_walk_restart(base, 0.0, 2 * 10**4)
     plain = restart.run_restart(base, 2 * 10**4)
     exact0 = (
-        [x.actual for x in run0.records] == [x.actual for x in plain]
-        and [x.ideal for x in run0.records] == [x.ideal for x in plain]
+        run0.records.actual.tolist() == plain.actual.tolist()
+        and run0.records.ideal.tolist() == plain.ideal.tolist()
     )
     ok = agree and lag_ok and bound_ok and exact0
     report(capfd, 9, ok,

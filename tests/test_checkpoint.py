@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from failsim import checkpoint
 from failsim.checkpoint import (
     CheckpointIterationRecord,
     ScanCapError,
@@ -35,6 +36,16 @@ def test_record_invariants():
             n=0, start_index=0, end_index=1, attempts=1,
             ideal=1.0, actual=1.0, overshoot=0.0,
         )
+
+
+def test_chain_checks_hop_invariants(monkeypatch):
+    def stuck(d, seed, replication, start, d_start, win, inclusive, scan_cap):
+        n = len(start)
+        return np.asarray(start), np.array(d_start, dtype=float), np.zeros(n, dtype=bool)
+
+    monkeypatch.setattr(checkpoint, "covered_checkpoints", stuck)
+    with pytest.raises(ValueError, match="advance"):
+        run_checkpointing(window(), 10)
 
 
 def test_chain_covers_window_monotonically():
@@ -140,5 +151,5 @@ def test_heavy_marks_make_long_hops():
     w_heavy = window(seed=3, a=0.5)
     hops_light, _ = run_checkpointing(w_light, 300)
     hops_heavy, _ = run_checkpointing(w_heavy, 300)
-    span = lambda recs: np.mean([r.end_index - r.start_index for r in recs])
+    span = lambda recs: np.mean(recs.end_index - recs.start_index)
     assert span(hops_heavy) > span(hops_light)

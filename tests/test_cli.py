@@ -180,6 +180,19 @@ def test_error_names_field_path():
     assert "run.iterations" in str(exc.value)
 
 
+def test_analytic_run_with_coinciding_mixture_components(tmp_path):
+    doc = {
+        "model": "analytic",
+        "process": {"kind": "renewal", "size": "mix(0.56*exp(2.711),0.44*exp(2.711))"},
+        "marks": "exp(1)",
+        "run": {"iterations": 1},
+    }
+    out = tmp_path / "out"
+    assert main(["run", write_yaml(tmp_path / "s.yaml", doc), "--out", str(out)]) == EXIT_OK
+    estimates = json.loads((out / "summary.json").read_text())["estimates"]
+    assert estimates["expected_restart_time"]["value"] == pytest.approx(1 / 1.711, rel=1e-9)
+
+
 def test_universal_requires_exponential_marks():
     doc = {
         "model": "universal",

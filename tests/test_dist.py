@@ -128,6 +128,14 @@ def test_mixture_weights_and_tail():
     assert m.mean() == pytest.approx(0.25 * 1.0 + 0.75 / 3.0, rel=1e-12)
 
 
+def test_mixture_isf_with_coinciding_components():
+    # no sign change is left in the root bracket when every component is
+    # the same law; the mixture is then that law
+    mix = parse_distribution("mix(0.56*exp(2.711),0.44*exp(2.711))")
+    s = np.concatenate((np.linspace(1e-6, 0.999, 2000), np.geomspace(1e-6, 0.999, 2000)))
+    assert mix.isf(s).tolist() == np.asarray(Exponential(2.711).isf(s)).tolist()
+
+
 def test_mixture_bad_weights_rejected():
     with pytest.raises(DistributionError):
         FiniteMixture((0.5, 0.6), (Exponential(1.0), Exponential(2.0)))

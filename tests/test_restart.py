@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from failsim import restart
 from failsim.dist import Exponential, Weibull
 from failsim.procgen import MarkovRenewalSpec, generate_renewal
 from failsim.restart import (
@@ -13,7 +14,7 @@ from failsim.restart import (
     mrp_efficiency,
     run_restart,
     run_restart_iteration,
-    simulate_restart_sizes,
+    simulate_restart_at_points,
 )
 
 
@@ -40,27 +41,39 @@ def test_records_actual_dominates_ideal():
     w = generate_renewal(Exponential(2.0), 2000, seed=1, mark_law=Exponential(1.0))
     recs = run_restart(w, 2000)
     assert len(recs) == 2000
-    for r in recs:
-        assert r.actual >= r.ideal > 0
-        assert r.failures >= 0
+    assert recs.n.tolist() == list(range(2000))
+    assert np.all(recs.actual >= recs.ideal) and np.all(recs.ideal > 0)
+    assert np.all(recs.failures >= 0)
+
+
+def test_run_restart_checks_actual_against_ideal(monkeypatch):
+    def too_fast(sizes, points, law, seed, replication, **kw):
+        n = len(sizes)
+        return np.zeros(n), 0.5 * np.asarray(sizes), np.zeros(n, dtype=bool)
+
+    monkeypatch.setattr(restart, "simulate_restart_at_points", too_fast)
+    w = generate_renewal(Exponential(2.0), 10, seed=1, mark_law=Exponential(1.0))
+    with pytest.raises(ValueError, match="below ideal"):
+        run_restart(w, 10)
 
 
 def test_run_restart_reproducible():
     w = generate_renewal(Exponential(2.0), 500, seed=3, mark_law=Exponential(1.0))
     a = run_restart(w, 500)
     b = run_restart(w, 500)
-    assert [r.actual for r in a] == [r.actual for r in b]
+    assert a.tolist() == b.tolist()
 
 
 def test_approximation_path_matches_exact_in_mean():
     # same tasks through the exact scan and the heavy-task shortcut
     sizes = np.full(20_000, 6.0)
     law = Exponential(1.0)
-    _, act_exact, flag_exact = simulate_restart_sizes(
-        sizes, law, seed=12, approx_threshold=np.inf
+    points = np.arange(len(sizes))
+    _, act_exact, flag_exact = simulate_restart_at_points(
+        sizes, points, law, seed=12, approx_threshold=np.inf
     )
-    _, act_approx, flag_approx = simulate_restart_sizes(
-        sizes, law, seed=12, approx_threshold=1.0
+    _, act_approx, flag_approx = simulate_restart_at_points(
+        sizes, points, law, seed=12, approx_threshold=1.0
     )
     se = act_exact.std() / math.sqrt(len(sizes))
     assert abs(act_exact.mean() - act_approx.mean()) < 4 * se
@@ -70,8 +83,7 @@ def test_approximation_path_matches_exact_in_mean():
 
 def test_monte_carlo_mean_matches_analytic():
     w = generate_renewal(Exponential(2.0), 100_000, seed=7, mark_law=Exponential(1.0))
-    recs = run_restart(w, 100_000)
-    actual = np.array([r.actual for r in recs])
+    actual = run_restart(w, 100_000).actual
     se = actual.std() / math.sqrt(len(actual))
     assert abs(actual.mean() - 1.0) < 3 * se  # E[T] = 1/(2-1)
 

@@ -50,15 +50,11 @@ def test_p_zero_reproduces_plain_restart_exactly():
     w = window(400)
     run = simulate_walk_restart(w, 0.0, 400)
     plain = run_restart(w, 400)
-    walk_actual = np.concatenate([[r.actual for r in run.records]])
     # level records in ascent order correspond one-to-one to the tasks
     assert len(run.records) == len(plain)
-    assert np.allclose(
-        [r.actual for r in run.records], [r.actual for r in plain], rtol=0, atol=0
-    )
-    assert np.allclose(
-        [r.ideal for r in run.records], [r.ideal for r in plain], rtol=0, atol=0
-    )
+    assert run.records.actual.tolist() == plain.actual.tolist()
+    assert run.records.ideal.tolist() == plain.ideal.tolist()
+    assert run.records.n_visits.tolist() == [1] * len(plain)
 
 
 def test_revisits_reuse_independent_marks():
