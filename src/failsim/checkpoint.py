@@ -9,10 +9,12 @@ differ only on null sets for continuous laws.
 
 Every engine here is the same two scans: `restart.first_exceedance` finds
 each hop's winning attempt and `covered_checkpoints` walks it forward, both
-vectorized over tasks.  `run_checkpoint_iteration` is their draw-by-draw
-scalar reference, returning one `CheckpointIterationRecord`;
-`run_checkpointing` chases one chain through hop maps computed for blocks
-of points and returns a numpy record array, one row per hop; and
+vectorized over tasks and run over the row tiles of `restart.scan_rounds`,
+so neither holds more than ``restart.SCAN_TILE`` draws at once.
+`run_checkpoint_iteration` is their draw-by-draw scalar reference,
+returning one `CheckpointIterationRecord`; `run_checkpointing` chases one
+chain through hop maps computed for blocks of points and returns a numpy
+record array, one row per hop; and
 `simulate_hops` runs many replications hop by hop, which is what the
 limit-law and inspection-paradox diagnostics run on.
 """
@@ -33,6 +35,7 @@ from .restart import (
     efficiency_from_sums,
     first_exceedance,
     mark_iter,
+    scan_rounds,
 )
 
 DEFAULT_SCAN_CAP = 1_000_000
@@ -76,12 +79,13 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
 
     Task k has covered ``d_start[k]`` on reaching checkpoint start[k] + 1;
     the keyed sizes after it are added one at a time, in chunks of 4
-    doubling to 4096, while the running sum stays below ``win[k]`` (or at
-    most ``win[k]`` where ``inclusive[k]``).  ``replication`` and
-    ``inclusive`` are one value or one per task.  Returns per task the
-    landed checkpoint, X_end - X_start as that running sum, and a flag for
-    a task that covered more than ``scan_cap`` checkpoints, which stops
-    scanning there.  A NaN winning mark covers nothing.
+    doubling to 4096 over the row tiles of `scan_rounds`, while the
+    running sum stays below ``win[k]`` (or at most ``win[k]`` where
+    ``inclusive[k]``).  ``replication`` and ``inclusive`` are one value or
+    one per task.  Returns per task the landed checkpoint, X_end - X_start
+    as that running sum, and a flag for a task that covered more than
+    ``scan_cap`` checkpoints, which stops scanning there.  A NaN winning
+    mark covers nothing.
     """
     start = np.asarray(start, dtype=np.int64)
     n = len(start)
@@ -90,22 +94,24 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
     end = start + 1
     ideal = np.array(d_start, dtype=float)
     capped = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    chunk = 4
-    while len(active):
-        pts = end[active][:, None] + np.arange(chunk)
-        sizes = keyed_sizes(d, seed, reps if reps.ndim == 0 else reps[active][:, None], pts)
-        sizes[:, 0] += ideal[active]  # fold the running sum in, as the kernel does
-        csum = np.cumsum(sizes, axis=1)
-        w = win[active][:, None]
-        fits = (csum < w) | (inclusive[active][:, None] & (csum == w))
+
+    def step(tasks, pts, u, flags):
+        chunk = u.shape[1]
+        np.add(end[tasks][:, None], np.arange(chunk), out=pts)
+        sizes = keyed_sizes(d, seed, reps if reps.ndim == 0 else reps[tasks][:, None], pts,
+                            out=u)
+        sizes[:, 0] += ideal[tasks]  # fold the running sum in, as the kernel does
+        csum = np.cumsum(sizes, axis=1, out=sizes)
+        w = win[tasks][:, None]
+        fits = np.logical_or(csum < w, inclusive[tasks][:, None] & (csum == w), out=flags)
         add = fits.sum(axis=1)  # fits is prefix-true since csum never decreases
-        rows = np.arange(len(active))
-        ideal[active] = np.where(add > 0, csum[rows, add - 1], ideal[active])
-        end[active] += add
-        capped[active] = end[active] - start[active] > scan_cap
-        active = active[(add == chunk) & ~capped[active]]
-        chunk = min(chunk * 2, 4096)
+        rows = np.arange(len(tasks))
+        ideal[tasks] = np.where(add > 0, csum[rows, add - 1], ideal[tasks])
+        end[tasks] += add
+        capped[tasks] = end[tasks] - start[tasks] > scan_cap
+        return (add == chunk) & ~capped[tasks]
+
+    scan_rounds(n, 4, step)
     return end, ideal, capped
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib.resources
 import json
 import math
@@ -40,9 +41,21 @@ EXIT_VALIDATION = 2
 EXIT_ENGINE = 3
 
 
-def _load_schema():
+@functools.cache
+def _summary_validator():
+    """The summary schema's validator, read and checked on first use only."""
     ref = importlib.resources.files("failsim") / "schemas" / "summary.schema.json"
-    return json.loads(ref.read_text())
+    schema = json.loads(ref.read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_summary(summary: dict):
+    """Raise what ``jsonschema.validate(summary, schema)`` raises, if anything."""
+    error = jsonschema.exceptions.best_match(_summary_validator().iter_errors(summary))
+    if error is not None:
+        raise error
 
 
 def _make_window(sc: Scenario, rep: int):
@@ -285,7 +298,7 @@ def run_scenario(sc: Scenario, out_dir: Path) -> dict:
         "diagnostics": diagnostics,
         "per_replication": per_rep,
     }
-    jsonschema.validate(summary, _load_schema())
+    validate_summary(summary)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n"

@@ -86,10 +86,11 @@ class MarkedWindow:
         return float(keyed_sizes(self.size_law, self.seed, self.replication, [index])[0])
 
 
-def keyed_sizes(d: Distribution, seed, replication, points) -> np.ndarray:
+def keyed_sizes(d: Distribution, seed, replication, points, out=None) -> np.ndarray:
     """Renewal inter-arrivals at ``points`` (any signed indices, any shape),
-    each from its own keyed draw: the sizes of every renewal window."""
-    u = rng.keyed_uniform(seed, replication, rng.DOMAIN_SIZE, np.asarray(points) + 1)
+    each from its own keyed draw: the sizes of every renewal window.
+    ``out`` is an optional float64 work array for the uniforms."""
+    u = rng.keyed_uniform(seed, replication, rng.DOMAIN_SIZE, np.asarray(points) + 1, out=out)
     return np.asarray(d.quantile(u), dtype=float)
 
 

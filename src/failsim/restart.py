@@ -3,7 +3,11 @@
 A task of size D is attempted until the first failure mark strictly exceeds
 it; failed attempts cost their full mark.  `first_exceedance` is that
 search, vectorized over tasks; the restart, checkpoint and hop-map engines
-all run on it.  Tasks whose expected attempt count is enormous take a
+all run on it.  It runs in rounds of batches, and `scan_rounds` cuts each
+round's tasks into row tiles of at most SCAN_TILE draws over work buffers
+made once per scan, so the scan's memory is bounded by the tile and its
+arrays stay in cache; the checkpoint coverage scan runs on the same
+tiles.  Tasks whose expected attempt count is enormous take a
 distributionally equivalent shortcut (geometric attempt count plus a
 Gaussian total for the failed attempts) so heavy-tailed sizes stay
 tractable.  `run_restart` returns a numpy record array, one row per task,
@@ -28,6 +32,12 @@ from .procgen import MarkedWindow, MarkovRenewalSpec
 DEFAULT_ATTEMPT_CAP = 1_000_000_000
 # Expected attempts above this use the geometric/Gaussian shortcut.
 APPROX_ATTEMPTS_THRESHOLD = 1e5
+# The scans draw at most MAX_BATCH values per task and round, and hold at
+# most SCAN_TILE of them at once (one task's batch at least): a tile's few
+# work arrays then fit a 2 MB L2 cache, and memory is bounded by the tile,
+# not by tasks times batch.
+MAX_BATCH = 4096
+SCAN_TILE = 1 << 15
 
 
 class PathologicalIterationError(RuntimeError):
@@ -98,18 +108,46 @@ def _reaches_cap(failures, attempt_cap):
     return np.asarray(failures) >= max(attempt_cap, 1)
 
 
+def scan_rounds(n, first_batch, step):
+    """Run the rounds of a scan over ``n`` tasks, in row tiles.
+
+    Round r gives every still active task a batch of ``first_batch * 2**r``
+    draws, at most MAX_BATCH.  Its tasks are cut into tiles of at most
+    SCAN_TILE values (one task at least), and ``step(tasks, keys, u,
+    flags)`` handles one tile: ``tasks`` are task indices, and ``keys``
+    (int64), ``u`` (float64) and ``flags`` (bool) are (tasks, batch) work
+    arrays, views of buffers made once per scan and reused by every tile.
+    ``step`` returns which of its tasks stay active.
+    """
+    size = min(max(SCAN_TILE, MAX_BATCH), n * MAX_BATCH)
+    buffers = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size, dtype=bool)
+    active = np.arange(n)
+    batch = first_batch
+    while len(active):
+        rows = max(SCAN_TILE // batch, 1)
+        keep = np.empty(len(active), dtype=bool)
+        for lo in range(0, len(active), rows):
+            tasks = active[lo:lo + rows]
+            shape = (len(tasks), batch)
+            views = (buf[:len(tasks) * batch].reshape(shape) for buf in buffers)
+            keep[lo:lo + rows] = step(tasks, *views)
+        active = active[keep]
+        batch = min(batch * 2, MAX_BATCH)
+
+
 def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
                      attempt_cap=DEFAULT_ATTEMPT_CAP):
     """First mark strictly above each task's threshold, over many tasks at once.
 
     Task k reads attempts offsets[k] + 1, offsets[k] + 2, ... of the mark
     lane (seed, replication[k], MARK, points[k]) in batches of 8 marks,
-    doubling to 4096; ``replication`` is one value or one per task.  Returns
-    per task the failure count, the wasted time (the failed marks, summed
-    draw by draw as `run_restart_iteration` sums them), the winning mark,
-    and a flag for a task whose failures reach ``attempt_cap``.  A flagged
-    task stops scanning and its winning mark is NaN; this never raises, so
-    each caller raises for the flagged tasks it uses.
+    doubling to 4096, over the row tiles of `scan_rounds`; ``replication``
+    is one value or one per task.  Returns per task the failure count, the
+    wasted time (the failed marks, summed draw by draw as
+    `run_restart_iteration` sums them), the winning mark, and a flag for a
+    task whose failures reach ``attempt_cap``.  A flagged task stops
+    scanning and its winning mark is NaN; this never raises, so each caller
+    raises for the flagged tasks it uses.
     """
     points = np.asarray(points, dtype=np.int64)
     n = len(points)
@@ -120,31 +158,31 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
     wasted = np.zeros(n)
     win = np.full(n, np.nan)
     capped = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    batch = 8
-    while len(active):
-        attempt_idx = (offsets[active] + failures[active])[:, None] + np.arange(1, batch + 1)
-        u = rng.keyed_uniform(
-            seed, reps if reps.ndim == 0 else reps[active][:, None], rng.DOMAIN_MARK,
-            points[active][:, None], attempt_idx,
-        )
+
+    def step(tasks, attempts, u, flags):
+        batch = u.shape[1]
+        np.add((offsets[tasks] + failures[tasks])[:, None], np.arange(1, batch + 1),
+               out=attempts)
+        rng.keyed_uniform(seed, reps if reps.ndim == 0 else reps[tasks][:, None],
+                          rng.DOMAIN_MARK, points[tasks][:, None], attempts, out=u)
         marks = np.asarray(law.quantile(u), dtype=float)
-        success = marks > thresholds[active][:, None]
+        success = np.greater(marks, thresholds[tasks][:, None], out=flags)
         first = np.argmax(success, axis=1)
-        rows = np.arange(len(active))
+        rows = np.arange(len(tasks))
         hit = success[rows, first]
         j = np.where(hit, first, batch)  # failures in this batch
         won = marks[rows, first]
         # fold the running total into the first column: the cumsum then adds
         # one mark at a time, as the scalar loop does
-        marks[:, 0] += wasted[active]
-        prefix = np.cumsum(marks, axis=1)
-        wasted[active] = np.where(j > 0, prefix[rows, j - 1], wasted[active])
-        failures[active] += j
-        capped[active] = _reaches_cap(failures[active], attempt_cap)
-        win[active] = np.where(hit & ~capped[active], won, np.nan)
-        active = active[~hit & ~capped[active]]
-        batch = min(batch * 2, 4096)
+        marks[:, 0] += wasted[tasks]
+        prefix = np.cumsum(marks, axis=1, out=marks)
+        wasted[tasks] = np.where(j > 0, prefix[rows, j - 1], wasted[tasks])
+        failures[tasks] += j
+        capped[tasks] = _reaches_cap(failures[tasks], attempt_cap)
+        win[tasks] = np.where(hit & ~capped[tasks], won, np.nan)
+        return ~hit & ~capped[tasks]
+
+    scan_rounds(n, 8, step)
     return failures, wasted, win, capped
 
 

@@ -45,20 +45,55 @@ def _mix(x):
     return x ^ (x >> np.uint64(31))
 
 
-def keyed_u64(*words):
-    """Hash a tuple of integer words (scalars or broadcastable arrays)."""
+def _mix_inplace(x, scratch):
+    """`_mix` of the uint64 array ``x``, written back into ``x``."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(x, np.uint64(shift), out=scratch)
+        x ^= scratch
+        x *= mult
+    np.right_shift(x, np.uint64(31), out=scratch)
+    x ^= scratch
+
+
+def keyed_u64(*words, out=None):
+    """Hash a tuple of integer words (scalars or broadcastable arrays).
+
+    With ``out``, a uint64 array of the broadcast shape, the round of the
+    last word runs in place in ``out`` and returns it: the earlier words
+    keep their own (small) broadcast shape, and only one scratch array of
+    the full shape is made.  The hash is the same either way.
+    """
     # uint64 wraparound is the point here, so mute numpy's overflow warnings.
     with np.errstate(over="ignore"):
         h = _INIT
-        for w in words:
+        for w in words if out is None else words[:-1]:
             h = _mix((h + _PHI) ^ (as_u64(w) * _M1 + _PHI))
-    return h
+        if out is None:
+            return h
+        np.multiply(as_u64(words[-1]), _M1, out=out)
+        out += _PHI
+        out ^= h + _PHI
+        _mix_inplace(out, np.empty_like(out))
+    return out
 
 
-def keyed_uniform(*words):
-    """Uniform double in (0, 1), a pure function of the key words."""
-    bits = keyed_u64(*words)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def keyed_uniform(*words, out=None):
+    """Uniform double in (0, 1), a pure function of the key words.
+
+    ``out`` is an optional float64 array of the broadcast shape: the hash
+    and its conversion then run in place there (see `keyed_u64`).
+    """
+    # The top 53 bits convert exactly; read as int64 (they are below 2**63)
+    # they take numpy's fast int64 conversion, not its slow uint64 one.
+    if out is None:
+        bits = keyed_u64(*words) >> np.uint64(11)
+        return (bits.view(np.int64).astype(np.float64) + 0.5) * 2.0**-53
+    bits = keyed_u64(*words, out=out.view(np.uint64))
+    bits >>= np.uint64(11)
+    np.copyto(out, bits.view(np.int64), casting="unsafe")
+    out += 0.5
+    out *= 2.0**-53
+    return out
 
 
 @dataclass

@@ -165,12 +165,28 @@ def analytic_n_kernel(d: Distribution, lam: float, k: int, j: int) -> float:
         return 0.0
     comb = special.comb(k + 1, j, exact=True)
 
-    def g(w):
-        t = float(d.quantile(w))
+    def at(t):
         s = math.exp(-lam * t)
         return comb * s**j * (1.0 - s) ** (k + 1 - j)
 
-    val, _ = integrate.quad(g, 0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12)
+    def g(w):
+        return at(float(d.quantile(w)))
+
+    val, _, _, *failed = integrate.quad(g, 0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12,
+                                        full_output=1)
+    if failed:
+        # QUADPACK found the tolerance out of reach in w: s**j or (1 - s)**(k+1-j)
+        # confines the entry to a layer at w = 0 or w = 1 that spans many
+        # decades (a Weibull quantile goes as w**(1/shape) near 0).  In
+        # y = logit(w) such a layer is a smooth bump, so integrate there.
+        def g_logit(y):
+            w, v = special.expit(y), special.expit(-y)  # w and 1 - w
+            if w * v == 0.0:
+                return 0.0
+            return at(float(d.quantile(w) if y <= 0 else d.isf(v))) * w * v
+
+        val, _ = integrate.quad(g_logit, -math.inf, math.inf, limit=200,
+                                epsabs=1e-12, epsrel=1e-12)
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -208,16 +224,27 @@ def stationary_n_distribution(d: Distribution, lam: float, truncation: int = 200
     Binomial(k + 1, s) pmf at j, with s = exp(-lam Q(w)) and Q the size
     quantile; see the module docstring for the quadrature, the error
     estimate and the ``tol`` fallback.  The pmf is taken in log space, one
-    row at a time; ``xlogy``/``xlog1py`` keep s = 0 and s = 1 finite.
+    row at a time, from outer products of j and k + 1 - j with log s and
+    log(1 - s); the j = 0 and j = k + 1 terms are set on their own, so
+    that s = 0 and s = 1 stay finite.
     """
     nodes, weights = _tanh_sinh_rule()
     s = np.exp(-lam * np.asarray(d.quantile(nodes), dtype=float))
+    with np.errstate(divide="ignore"):
+        log_s, log_r = np.log(s), np.log1p(-s)  # -inf where s = 0 or s = 1
     p = np.zeros((2, truncation, truncation))
     for k in range(truncation):
         j = np.arange(min(k + 2, truncation))
         log_comb = special.gammaln(k + 2) - special.gammaln(j + 1) - special.gammaln(k + 2 - j)
-        log_pmf = (log_comb[:, None] + special.xlogy(j[:, None], s)
-                   + special.xlog1py((k + 1 - j)[:, None], -s))
+        # the middle terms from outer products; j = 0 has no power of s and
+        # j = k + 1 none of 1 - s, where 0 * -inf would give NaN
+        log_pmf = np.empty((len(j), len(s)))
+        log_pmf[0] = log_comb[0] + (k + 1) * log_r
+        mid = j[1:k + 1]
+        log_pmf[1:k + 1] = (log_comb[mid, None] + np.multiply.outer(mid, log_s)
+                            + np.multiply.outer(k + 1 - mid, log_r))
+        if k + 1 < truncation:
+            log_pmf[k + 1] = log_comb[k + 1] + (k + 1) * log_s
         p[:, k, : len(j)] = (np.exp(log_pmf) @ weights).T
     fine, coarse = (stationary_law(m) for m in p / p.sum(axis=-1, keepdims=True))
     if np.max(np.abs(fine - coarse)) < tol:

@@ -155,6 +155,34 @@ def test_summary_validates_against_schema(tmp_path):
     jsonschema.validate(json.loads((out / "summary.json").read_text()), schema)
 
 
+def test_invalid_summary_raises_what_jsonschema_raises(tmp_path):
+    import jsonschema
+    from importlib import resources
+
+    from failsim.cli import validate_summary
+
+    path = write_yaml(tmp_path / "s.yaml", small_restart_doc())
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == EXIT_OK
+    schema = json.loads(
+        resources.files("failsim").joinpath("schemas/summary.schema.json").read_text()
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    validate_summary(summary)
+    broken_summaries = (
+        {**summary, "replications": "two"},
+        {**summary, "model": "chain", "n_iterations": 0},  # two errors: the best one wins
+        {k: v for k, v in summary.items() if k != "seed"},
+    )
+    for broken in broken_summaries:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(broken, schema)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_summary(broken)
+        assert (got.value.message, list(got.value.absolute_path)) == (
+            want.value.message, list(want.value.absolute_path))
+
+
 # ---- scenario-document level tests ----
 
 

@@ -6,21 +6,23 @@ same exception naming the same point.
 """
 
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failsim import rng
+from failsim import restart, rng
 from failsim.checkpoint import (
     DEFAULT_SCAN_CAP,
     ScanCapError,
+    covered_checkpoints,
     run_checkpoint_iteration,
     run_checkpointing,
     simulate_hops,
 )
 from failsim.dist import Exponential, Pareto, Weibull
-from failsim.procgen import generate_renewal
+from failsim.procgen import generate_renewal, keyed_sizes
 from failsim.restart import (
     PathologicalIterationError,
     first_exceedance,
@@ -58,6 +60,9 @@ def mark_laws():
 caps = st.one_of(st.none(), st.integers(1, 20))
 scan_caps = st.one_of(st.just(DEFAULT_SCAN_CAP), st.integers(1, 4))
 seeds = st.integers(0, 2**31)
+# the scans' own tile, or one so small that tasks span several tiles at
+# every batch size (a tile holds one task's batch at least)
+tiles = st.sampled_from([restart.SCAN_TILE, 64])
 
 
 def tractable(law, sizes, limit=1e4):
@@ -180,15 +185,16 @@ def test_speculative_points_are_bounded():
 
 
 @settings(max_examples=100, deadline=None)
-@given(size_laws(), mark_laws(), caps, seeds)
-def test_restart_engine_matches_scalar(d, law, cap, seed):
+@given(size_laws(), mark_laws(), caps, seeds, tiles)
+def test_restart_engine_matches_scalar(d, law, cap, seed, tile):
     sizes = np.asarray(generate_renewal(d, 40, seed, mark_law=law).sizes)
     points = np.arange(40)
     if cap is None:
         keep = tractable(law, sizes)
         sizes, points = sizes[keep], points[keep]
-    got = outcome(lambda: simulate_restart_at_points(
-        sizes, points, law, seed, attempt_cap=cap, approx_threshold=np.inf)[:2])
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        got = outcome(lambda: simulate_restart_at_points(
+            sizes, points, law, seed, attempt_cap=cap, approx_threshold=np.inf)[:2])
     ref = outcome(lambda: restart_reference(sizes, points, law, seed, cap))
     if isinstance(got, tuple) and isinstance(got[0], str):
         assert got == ref
@@ -198,10 +204,11 @@ def test_restart_engine_matches_scalar(d, law, cap, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(size_laws(), mark_laws(), caps, scan_caps, seeds)
-def test_checkpoint_chain_matches_scalar(d, law, cap, scan_cap, seed):
+@given(size_laws(), mark_laws(), caps, scan_caps, seeds, tiles)
+def test_checkpoint_chain_matches_scalar(d, law, cap, scan_cap, seed, tile):
     w = generate_renewal(d, 1, seed, mark_law=law)
-    got = outcome(lambda: run_checkpointing(w, 15, attempt_cap=cap, scan_cap=scan_cap)[0])
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        got = outcome(lambda: run_checkpointing(w, 15, attempt_cap=cap, scan_cap=scan_cap)[0])
     if cap is None and isinstance(got, np.ndarray):
         sizes = w.extended(got.start_index[-1] + 1).sizes[got.start_index]
         if not tractable(law, sizes).all():
@@ -211,17 +218,56 @@ def test_checkpoint_chain_matches_scalar(d, law, cap, scan_cap, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(size_laws(), st.floats(0.5, 2.0), caps, scan_caps, seeds)
-def test_kappas_match_scalar(d, rate, cap, scan_cap, seed):
+@given(size_laws(), st.floats(0.5, 2.0), caps, scan_caps, seeds, tiles)
+def test_kappas_match_scalar(d, rate, cap, scan_cap, seed, tile):
     law = Exponential(rate)
     w = generate_renewal(d, 41, seed, mark_law=law)
     if cap is None and not tractable(law, w.sizes[:40]).all():
         return
-    got = outcome(lambda: compute_all_kappas(w, 40, attempt_cap=cap,
-                                             scan_cap=scan_cap).tolist())
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        got = outcome(lambda: compute_all_kappas(w, 40, attempt_cap=cap,
+                                                 scan_cap=scan_cap).tolist())
     ref = outcome(lambda: [
         run_checkpoint_iteration(w, n, inclusive=True, attempt_cap=cap,
                                  scan_cap=scan_cap)[0].end_index
         for n in range(40)
     ])
     assert got == ref
+
+
+# -- memory: the scans hold one tile of draws at a time -------------------------
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds, st.integers(-5, 5), st.integers(1, 30), st.integers(1, 40),
+       st.integers(-2**40, 2**40))
+def test_keyed_uniform_into_a_buffer_is_the_same_draw(seed, rep, rows, cols, base):
+    points = np.arange(rows)[:, None] * 7 - 3
+    attempts = base + np.arange(rows * cols).reshape(rows, cols)
+    want = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, points, attempts)
+    out = np.empty((rows, cols))
+    got = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, points, attempts, out=out)
+    assert got is out and got.tolist() == want.tolist()
+    assert rng.keyed_uniform(1, 2, 3, 4, 5) == 0.29599997020201946  # the hash is pinned
+
+
+def test_scans_draw_at_most_one_tile_per_call(monkeypatch):
+    n = 10**5
+    d, law = Exponential(2.0), Exponential(1.0)
+    points = np.arange(n)
+    sizes = keyed_sizes(d, 7, 0, points)
+    drawn = []
+
+    def recording(*words, out=None):
+        u = keyed_uniform(*words, out=out)
+        drawn.append(u.size)
+        return u
+
+    keyed_uniform = rng.keyed_uniform
+    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    failures, _, win, _ = first_exceedance(law, 7, 0, points, sizes, 0, None)
+    marks = len(drawn)
+    covered_checkpoints(d, 7, 0, points, sizes, win, True)
+    assert marks and len(drawn) > marks
+    assert sum(drawn[:marks]) >= np.sum(failures + 1)
+    assert max(drawn) <= restart.SCAN_TILE

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_kernel_closed_form_entries():
         lambda t: 3 * math.exp(-t) * (1 - math.exp(-t)) ** 2 * math.exp(-t), 0, 50
     )
     assert analytic_n_kernel(d, 1.0, 2, 1) == pytest.approx(val, abs=1e-9)
+
+
+def test_kernel_entries_in_an_endpoint_layer():
+    # Weibull(2, 4) sizes and mark rate 4: s**(k+1) = exp(-4 (k+1) Q(w)) puts
+    # the last entry of each row in a layer at w = 0 spanning many decades,
+    # where quad in w reported roundoff and returned 2.64e-7 at k = 11
+    d, lam = Weibull(2.0, 4.0), 4.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = [kernel_row(d, lam, k) for k in range(12)]
+    for row in rows:
+        assert row.sum() == pytest.approx(1.0, abs=1e-10)
+
+    # the same entry as E[exp(-48 T)] over the Weibull density of T
+    def density_term(t):
+        return math.exp(-12 * lam * t) * 2.0 * (t / 2.0) ** 3 * math.exp(-((t / 2.0) ** 4))
+
+    val, _ = integrate.quad(density_term, 0.0, math.inf, epsabs=0.0, epsrel=1e-13)
+    assert rows[11][12] == pytest.approx(val, rel=1e-9)
 
 
 def test_stationary_distribution_is_a_fixed_point():
