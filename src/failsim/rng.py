@@ -38,62 +38,56 @@ def as_u64(x):
 
 
 def _mix(x):
-    x = x ^ (x >> np.uint64(30))
-    x = x * _M1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _M2
-    return x ^ (x >> np.uint64(31))
-
-
-def _mix_inplace(x, scratch):
-    """`_mix` of the uint64 array ``x``, written back into ``x``."""
-    for shift, mult in ((30, _M1), (27, _M2)):
-        np.right_shift(x, np.uint64(shift), out=scratch)
-        x ^= scratch
-        x *= mult
-    np.right_shift(x, np.uint64(31), out=scratch)
-    x ^= scratch
+    """The splitmix64 finalizer; in place when ``x`` is an array."""
+    x ^= x >> np.uint64(30)
+    x *= _M1
+    x ^= x >> np.uint64(27)
+    x *= _M2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def keyed_u64(*words, out=None):
     """Hash a tuple of integer words (scalars or broadcastable arrays).
 
-    With ``out``, a uint64 array of the broadcast shape, the round of the
-    last word runs in place in ``out`` and returns it: the earlier words
-    keep their own (small) broadcast shape, and only one scratch array of
-    the full shape is made.  The hash is the same either way.
+    The earlier words are hashed at their own (small) broadcast shape; the
+    last word's round runs in place in ``out``, a uint64 array of the
+    words' broadcast shape, made here when not given.  Scalar words give
+    a scalar.
     """
+    if out is None:
+        out = np.empty(np.broadcast(*words).shape, dtype=np.uint64)
     # uint64 wraparound is the point here, so mute numpy's overflow warnings.
     with np.errstate(over="ignore"):
         h = _INIT
-        for w in words if out is None else words[:-1]:
+        for w in words[:-1]:
             h = _mix((h + _PHI) ^ (as_u64(w) * _M1 + _PHI))
-        if out is None:
-            return h
         np.multiply(as_u64(words[-1]), _M1, out=out)
         out += _PHI
         out ^= h + _PHI
-        _mix_inplace(out, np.empty_like(out))
-    return out
+        _mix(out)
+    return out if out.ndim else out[()]
 
 
 def keyed_uniform(*words, out=None):
     """Uniform double in (0, 1), a pure function of the key words.
 
-    ``out`` is an optional float64 array of the broadcast shape: the hash
-    and its conversion then run in place there (see `keyed_u64`).
+    The hash and its conversion run in place in ``out``, a C-contiguous
+    float64 array of the words' broadcast shape, made here when not given
+    (the scans pass a reused work buffer).  Scalar words give a scalar.
     """
-    # The top 53 bits convert exactly; read as int64 (they are below 2**63)
-    # they take numpy's fast int64 conversion, not its slow uint64 one.
     if out is None:
-        bits = keyed_u64(*words) >> np.uint64(11)
-        return (bits.view(np.int64).astype(np.float64) + 0.5) * 2.0**-53
-    bits = keyed_u64(*words, out=out.view(np.uint64))
+        out = np.empty(np.broadcast(*words).shape)
+    bits = out.view(np.uint64)
+    keyed_u64(*words, out=bits)
     bits >>= np.uint64(11)
-    np.copyto(out, bits.view(np.int64), casting="unsafe")
+    # The top 53 bits convert exactly; read as int64 (they are below 2**63)
+    # they take numpy's fast int64 conversion, not its slow uint64 one.  On
+    # flat views numpy converts the overlapping arrays without a temporary.
+    np.copyto(out.reshape(-1), bits.reshape(-1).view(np.int64), casting="unsafe")
     out += 0.5
     out *= 2.0**-53
-    return out
+    return out if out.ndim else out[()]
 
 
 @dataclass

@@ -238,16 +238,35 @@ def test_kappas_match_scalar(d, rate, cap, scan_cap, seed, tile):
 # -- memory: the scans hold one tile of draws at a time -------------------------
 
 
+def keyed_uniform_reference(*words):
+    """`rng.keyed_uniform` of integer words, in Python integers."""
+    mask = 2**64 - 1
+
+    def mix(x):
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & mask
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & mask
+        return x ^ x >> 31
+
+    h, phi = 0x8C5FDB8E3A1D4E27, 0x9E3779B97F4A7C15
+    for w in words:
+        h = mix((h + phi & mask) ^ ((w & mask) * 0xBF58476D1CE4E5B9 + phi & mask))
+    return ((h >> 11) + 0.5) * 2.0**-53
+
+
 @settings(max_examples=50, deadline=None)
 @given(seeds, st.integers(-5, 5), st.integers(1, 30), st.integers(1, 40),
        st.integers(-2**40, 2**40))
 def test_keyed_uniform_into_a_buffer_is_the_same_draw(seed, rep, rows, cols, base):
     points = np.arange(rows)[:, None] * 7 - 3
     attempts = base + np.arange(rows * cols).reshape(rows, cols)
-    want = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, points, attempts)
+    want = [[keyed_uniform_reference(seed, rep, rng.DOMAIN_MARK, int(p[0]), int(a))
+             for a in row] for p, row in zip(points, attempts)]
     out = np.empty((rows, cols))
     got = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, points, attempts, out=out)
-    assert got is out and got.tolist() == want.tolist()
+    assert got is out and got.tolist() == want
+    assert rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, points, attempts).tolist() == want
+    scalar = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, int(points[0, 0]), base)
+    assert np.ndim(scalar) == 0 and scalar == want[0][0]
     assert rng.keyed_uniform(1, 2, 3, 4, 5) == 0.29599997020201946  # the hash is pinned
 
 
