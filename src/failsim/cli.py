@@ -236,7 +236,7 @@ def _run_rwalk(sc: Scenario):
              run.visit_times],
         ))
         curves.append(_ratio_curve(run.records, sc.curve_points))
-    consts = rw.estimate_walk_constants(sc.walk_p, sc.seed, n_walks=1000, horizon=5000)
+    consts = rw.walk_constants(sc.walk_p)
     direct = [p["direct"]["ratio"] for p in per_rep if "direct" in p]
     formula = [p["formula_ratio"] for p in per_rep if "formula_ratio" in p]
     estimates = {}
@@ -384,6 +384,13 @@ def compare_report(sc: Scenario):
             rows.append(("efficiency (direct vs block formula)", f, d,
                          estimates["direct_efficiency"]["se"],
                          abs(d - f) <= max(0.02 * max(d, 1e-12), 3 * estimates["direct_efficiency"]["se"])))
+        # the exact walk constants against their Monte Carlo estimate, with
+        # the horizon's bias allowed for by a fixed margin
+        mc = rw.estimate_walk_constants(sc.walk_p, sc.seed, n_walks=1000, horizon=5000)
+        for name, margin in (("gamma", 0.01), ("rho", 0.02)):
+            exact = estimates[name]["mean"]
+            value, se = mc[name]
+            rows.append((name, exact, value, se, abs(value - exact) <= 4 * se + margin))
     elif sc.model == "analytic":
         etr = expected_restart_time(sc.size_law, sc.mark_law)
         etc = expected_checkpoint_time(sc.size_law, sc.mark_law)

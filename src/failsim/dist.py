@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 
 class DistributionError(ValueError):
@@ -48,6 +48,10 @@ class Distribution:
         """E[X 1{X <= z}]."""
         raise NotImplementedError
 
+    def truncated_second_moment(self, z):
+        """E[X^2 1{X <= z}]."""
+        raise NotImplementedError
+
     def quantile(self, u):
         raise NotImplementedError
 
@@ -71,14 +75,6 @@ class Distribution:
     @property
     def unbounded(self) -> bool:
         return True
-
-    def truncated_second_moment(self, z: float) -> float:
-        """E[X^2 1{X <= z}] by quadrature over the quantile transform."""
-        w_hi = float(self.cdf(z))
-        if w_hi <= 0.0:
-            return 0.0
-        val, _ = integrate.quad(lambda w: float(self.quantile(w)) ** 2, 0.0, w_hi, limit=200)
-        return val
 
     def scale_proxy(self) -> float:
         """A time scale for numeric tail probing."""
@@ -110,8 +106,8 @@ class Exponential(Distribution):
 
     def truncated_second_moment(self, z):
         a = self.rate
-        az = a * z
-        return (2.0 - math.exp(-az) * (az * az + 2.0 * az + 2.0)) / (a * a)
+        az = a * np.asarray(z, dtype=float)
+        return (2.0 - np.exp(-az) * (az * az + 2.0 * az + 2.0)) / (a * a)
 
     def quantile(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
@@ -156,6 +152,16 @@ class Pareto(Distribution):
         zc = np.maximum(z, self.scale)
         return np.where(z < self.scale, 0.0, full * (1.0 - (self.scale / zc) ** (self.shape - 1.0)))
 
+    def truncated_second_moment(self, z):
+        # alpha s^alpha (z^(2 - alpha) - s^(2 - alpha)) / (2 - alpha), written
+        # with expm1 so that it stays accurate near alpha = 2, where it tends
+        # to 2 s^2 log(z / s)
+        z = np.asarray(z, dtype=float)
+        t = np.log(np.maximum(z, self.scale) / self.scale)
+        c = 2.0 - self.shape
+        growth = np.expm1(c * t) / c if c != 0.0 else t
+        return self.shape * self.scale**2 * growth
+
     def quantile(self, u):
         return self.scale * (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / self.shape)
 
@@ -187,6 +193,12 @@ class Weibull(Distribution):
         t = (np.maximum(z, 0.0) / self.scale) ** self.shape
         return self.mean() * special.gammainc(1.0 + 1.0 / self.shape, t)
 
+    def truncated_second_moment(self, z):
+        z = np.asarray(z, dtype=float)
+        t = (np.maximum(z, 0.0) / self.scale) ** self.shape
+        a = 1.0 + 2.0 / self.shape
+        return self.scale**2 * special.gamma(a) * special.gammainc(a, t)
+
     def quantile(self, u):
         return self.scale * (-np.log1p(-np.asarray(u, dtype=float))) ** (1.0 / self.shape)
 
@@ -215,7 +227,7 @@ class Deterministic(Distribution):
         return np.where(np.asarray(z, dtype=float) >= self.value, self.value, 0.0)
 
     def truncated_second_moment(self, z):
-        return self.value**2 if z >= self.value else 0.0
+        return np.where(np.asarray(z, dtype=float) >= self.value, self.value**2, 0.0)
 
     def quantile(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.value)
@@ -247,6 +259,10 @@ class FiniteMixture(Distribution):
 
     def truncated_mean(self, z):
         return sum(w * c.truncated_mean(z) for w, c in zip(self.weights, self.components))
+
+    def truncated_second_moment(self, z):
+        return sum(w * c.truncated_second_moment(z)
+                   for w, c in zip(self.weights, self.components))
 
     def _quantile_scalar(self, u: float) -> float:
         hi = max(float(c.quantile(min(u, 1.0 - 1e-15))) for c in self.components) + 1.0

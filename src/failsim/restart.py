@@ -201,8 +201,8 @@ def _approx_tasks(sizes, points, law, seed, replication, offsets=0):
         tau = np.floor(np.log(u1) / np.log1p(-q)) + 1.0
     tau = np.where(q <= 0.0, np.inf, tau)
     nfail = tau - 1.0
-    mu = np.array([float(law.truncated_mean(zz)) for zz in z])
-    m2 = np.array([float(law.truncated_second_moment(zz)) for zz in z])
+    mu = np.asarray(law.truncated_mean(z), dtype=float)
+    m2 = np.asarray(law.truncated_second_moment(z), dtype=float)
     cdf = 1.0 - q
     with np.errstate(divide="ignore", invalid="ignore"):
         cm = mu / np.maximum(cdf, 1e-300)  # conditional mean of a failed attempt

@@ -6,6 +6,12 @@ full restart iteration with fresh marks.  Level n is complete at the
 walk's first passage to n; regeneration epochs are first passages the walk
 never falls below again, and blocks between them are i.i.d., which is what
 the Wald-style efficiency formula and the gamma/rho bound rest on.
+
+The walk constants have closed forms (gambler's ruin; Feller, vol. 1,
+ch. XIV): a walk that steps down with probability p < 1/2 ever reaches -1
+with probability p/(1 - p), so gamma = (1 - 2p)/(1 - p), and returns to 0
+with probability 2p, so rho = 1/(1 - 2p).  `walk_constants` returns them;
+`estimate_walk_constants` is their Monte Carlo check.
 """
 
 from __future__ import annotations
@@ -151,19 +157,13 @@ def find_regenerations(trace: WalkTrace):
     the last confirmed epoch should still be treated as provisional by
     block statistics (blocks need a successor epoch anyway).
     """
-    pos = trace.positions
-    suffix_min = np.minimum.accumulate(pos[::-1])[::-1]
-    epochs = []
-    censored = 0
-    for level, k in enumerate(trace.ladder_epochs, start=1):
-        if suffix_min[k] >= level:
-            epochs.append(int(k))
-        elif k == trace.ladder_epochs[-1]:
-            censored += 1
+    suffix_min = np.minimum.accumulate(trace.positions[::-1])[::-1]
+    ladder = np.asarray(trace.ladder_epochs, dtype=np.int64)
+    confirmed = suffix_min[ladder] >= np.arange(1, len(ladder) + 1)
+    censored = int(np.count_nonzero(~confirmed & (ladder == ladder[-1:])))
     # epoch 0 (level 0) regenerates iff the walk never goes negative
-    if suffix_min[0] >= 0:
-        epochs.insert(0, 0)
-    return np.asarray(epochs, dtype=np.int64), censored
+    head = [0] if suffix_min[0] >= 0 else []
+    return np.concatenate((np.array(head, dtype=np.int64), ladder[confirmed])), censored
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,21 @@ def walk_efficiency(run: WalkRun, epochs: np.ndarray, min_blocks: int = 100,
     )
 
 
+def walk_constants(p: float):
+    """Exact gamma (never below 0) and rho (expected visits to 0), each as
+    (value, se) with se 0, in the shape `estimate_walk_constants` returns."""
+    if not (0.0 <= p < 0.5):
+        raise ValueError("down-probability must lie in [0, 1/2)")
+    return {"gamma": ((1.0 - 2.0 * p) / (1.0 - p), 0.0), "rho": (1.0 / (1.0 - 2.0 * p), 0.0)}
+
+
 def estimate_walk_constants(p: float, seed: int, n_walks: int = 2000,
                             horizon: int = 10_000, chunk: int = 512):
     """Monte Carlo gamma (never below 0) and rho (expected visits to 0).
 
     Long-horizon frequencies; the horizon truncation biases gamma up and
-    rho down by exponentially small terms for p < 1/2.
+    rho down by exponentially small terms for p < 1/2.  The check of
+    `walk_constants`, in the tests and in ``failsim compare``.
     """
     if not (0.0 <= p < 0.5):
         raise ValueError("down-probability must lie in [0, 1/2)")

@@ -11,14 +11,22 @@ launched at the current point each survive the next interval independently
 with probability e^{-lambda t} by memorylessness.  Its rows are validated
 empirically against simulated transition counts.
 
-The stationary law of the truncated chain (``stationary_n_distribution``)
-comes from one tanh-sinh quadrature of every kernel entry at once: the
-size quantile is evaluated once at the 257 nodes of a double-exponential
-rule on (0, 1), and each row's binomial pmf is contracted with the weights
-of steps h and h/2.  pi P = pi is then solved directly, for both steps.
+For exp(mu) sizes, s = e^{-lambda t} is Beta(mu / lambda, 1), and entry
+(k, j) is C(k+1, j) a B(j + a, k + 2 - j) with a = mu / lambda:
+``kernel_row`` and ``stationary_n_distribution`` build that kernel in one
+gammaln array pass.  Every other size law is integrated numerically.
+``analytic_n_kernel``, one adaptive quadrature per entry, is the reference
+both are tested against.
+
+For other size laws the stationary law of the truncated chain
+(``stationary_n_distribution``) comes from one tanh-sinh quadrature of
+every kernel entry at once: the size quantile is evaluated once at the 257
+nodes of a double-exponential rule on (0, 1), and each row's binomial pmf
+is contracted with the weights of steps h and h/2.  pi P = pi is then
+solved directly, for both steps.
 The largest difference between the two laws is the error estimate; when it
 is not below ``tol`` the kernel is rebuilt from ``kernel_row``, one scalar
-adaptive quadrature per entry, which remains the tested reference.
+adaptive quadrature per entry.
 """
 
 from __future__ import annotations
@@ -43,23 +51,6 @@ def _require_exponential(law) -> Exponential:
     if not isinstance(law, Exponential):
         raise MarkLawError("universal-checkpoint analysis requires exponential marks")
     return law
-
-
-@dataclass(frozen=True)
-class TrajectoryMap:
-    kappa: np.ndarray  # single-hop target per point
-    n_points: int
-
-    def __post_init__(self):
-        if np.any(self.kappa[: self.n_points] < np.arange(self.n_points) + 1):
-            raise ValueError("kappa must advance by at least one point")
-
-    def trajectory(self, m: int, stop: int) -> list[int]:
-        """Points visited starting at m until reaching index >= stop."""
-        path = [m]
-        while path[-1] < stop and path[-1] < self.n_points:
-            path.append(int(self.kappa[path[-1]]))
-        return path
 
 
 @dataclass(frozen=True)
@@ -157,7 +148,14 @@ def analytic_n_kernel(d: Distribution, lam: float, k: int, j: int) -> float:
     """P[N_n = j | N_{n-1} = k] for exponential marks of rate ``lam``.
 
     Binomial(k+1, e^{-lam t}) survival of the k pending trajectories plus
-    the freshly launched hop, mixed over the inter-arrival law.
+    the freshly launched hop, mixed over the inter-arrival law: one
+    adaptive quadrature over y = logit(w), w = F_D(t).  s**j or
+    (1 - s)**(k+1-j) can confine an entry to a layer at w = 0 or w = 1
+    that spans many decades (a Weibull quantile goes as w**(1/shape) near
+    0), and QUADPACK in w can miss such a layer without reporting it; in y
+    it is a smooth bump.  The quantile is taken through ``isf`` for y > 0,
+    so that the upper layer keeps its digits.  This is the reference the
+    exponential closed form and the tanh-sinh rule are tested against.
     """
     if k < 0 or j < 0:
         raise ValueError("k and j must be nonnegative")
@@ -165,32 +163,35 @@ def analytic_n_kernel(d: Distribution, lam: float, k: int, j: int) -> float:
         return 0.0
     comb = special.comb(k + 1, j, exact=True)
 
-    def at(t):
-        s = math.exp(-lam * t)
-        return comb * s**j * (1.0 - s) ** (k + 1 - j)
+    def g(y):
+        w, v = special.expit(y), special.expit(-y)  # w and 1 - w
+        if w * v == 0.0:
+            return 0.0
+        s = math.exp(-lam * float(d.quantile(w) if y <= 0 else d.isf(v)))
+        return comb * s**j * (1.0 - s) ** (k + 1 - j) * w * v
 
-    def g(w):
-        return at(float(d.quantile(w)))
-
-    val, _, _, *failed = integrate.quad(g, 0.0, 1.0, limit=200, epsabs=1e-12, epsrel=1e-12,
-                                        full_output=1)
-    if failed:
-        # QUADPACK found the tolerance out of reach in w: s**j or (1 - s)**(k+1-j)
-        # confines the entry to a layer at w = 0 or w = 1 that spans many
-        # decades (a Weibull quantile goes as w**(1/shape) near 0).  In
-        # y = logit(w) such a layer is a smooth bump, so integrate there.
-        def g_logit(y):
-            w, v = special.expit(y), special.expit(-y)  # w and 1 - w
-            if w * v == 0.0:
-                return 0.0
-            return at(float(d.quantile(w) if y <= 0 else d.isf(v))) * w * v
-
-        val, _ = integrate.quad(g_logit, -math.inf, math.inf, limit=200,
-                                epsabs=1e-12, epsrel=1e-12)
+    val, _ = integrate.quad(g, -math.inf, math.inf, limit=200, epsabs=1e-12, epsrel=1e-12)
     return float(min(max(val, 0.0), 1.0))
 
 
+def _exponential_kernel(rate: float, lam: float, k, j) -> np.ndarray:
+    """Kernel entries (k, j) for exp(rate) sizes, broadcast over k and j.
+
+    s = exp(-lam D) is then Beta(a, 1) with a = rate / lam, so entry (k, j)
+    is C(k+1, j) a B(j + a, k + 2 - j) = a Gamma(k+2) Gamma(j+a) /
+    (Gamma(j+1) Gamma(k+2+a)), taken through gammaln; 0 for j > k + 1.
+    """
+    a = rate / lam
+    log_p = (math.log(a) + special.gammaln(k + 2) - special.gammaln(k + 2 + a)
+             + special.gammaln(j + a) - special.gammaln(j + 1))
+    return np.where(j <= k + 1, np.exp(log_p), 0.0)
+
+
 def kernel_row(d: Distribution, lam: float, k: int) -> np.ndarray:
+    """Entries j = 0..k+1 of kernel row k: in closed form for exponential
+    sizes, else one `analytic_n_kernel` quadrature per entry."""
+    if isinstance(d, Exponential):
+        return _exponential_kernel(d.rate, lam, k, np.arange(k + 2))
     return np.array([analytic_n_kernel(d, lam, k, j) for j in range(k + 2)])
 
 
@@ -220,14 +221,19 @@ def stationary_n_distribution(d: Distribution, lam: float, truncation: int = 200
                               tol: float = 1e-12) -> np.ndarray:
     """Stationary law of the N-chain on states 0..truncation-1.
 
-    Kernel entry (k, j) is the integral over w in (0, 1) of the
-    Binomial(k + 1, s) pmf at j, with s = exp(-lam Q(w)) and Q the size
-    quantile; see the module docstring for the quadrature, the error
+    For exponential sizes the kernel is the closed form and ``tol`` is
+    unused.  Otherwise kernel entry (k, j) is the integral over w in (0, 1)
+    of the Binomial(k + 1, s) pmf at j, with s = exp(-lam Q(w)) and Q the
+    size quantile; see the module docstring for the quadrature, the error
     estimate and the ``tol`` fallback.  The pmf is taken in log space, one
     row at a time, from outer products of j and k + 1 - j with log s and
     log(1 - s); the j = 0 and j = k + 1 terms are set on their own, so
     that s = 0 and s = 1 stay finite.
     """
+    if isinstance(d, Exponential):
+        states = np.arange(truncation)
+        p = _exponential_kernel(d.rate, lam, states[:, None], states)
+        return stationary_law(p / p.sum(axis=1, keepdims=True))
     nodes, weights = _tanh_sinh_rule()
     s = np.exp(-lam * np.asarray(d.quantile(nodes), dtype=float))
     with np.errstate(divide="ignore"):

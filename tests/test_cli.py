@@ -142,6 +142,21 @@ def test_compare_runs(tmp_path, capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_rwalk_reports_exact_constants_and_compare_checks_them(tmp_path):
+    from failsim.cli import compare_report, run_scenario
+
+    doc = yaml.safe_load((SCENARIOS / "rwalk_exp.yaml").read_text())
+    sc = load_scenario(apply_overrides(doc, ["N=3000"]))
+    summary = run_scenario(sc, tmp_path / "out")
+    assert summary["estimates"]["gamma"] == {"mean": 0.5 / 0.75, "se": 0.0}
+    assert summary["estimates"]["rho"] == {"mean": 2.0, "se": 0.0}
+    rows = {row[0]: row for row in compare_report(sc)}
+    for name in ("gamma", "rho"):
+        _, exact, monte_carlo, se, agrees = rows[name]
+        assert exact == summary["estimates"][name]["mean"]
+        assert monte_carlo != exact and se > 0 and agrees
+
+
 def test_summary_validates_against_schema(tmp_path):
     import jsonschema
     from importlib import resources

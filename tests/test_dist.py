@@ -136,6 +136,59 @@ def test_mixture_isf_with_coinciding_components():
     assert mix.isf(s).tolist() == np.asarray(Exponential(2.711).isf(s)).tolist()
 
 
+def second_moment_quadrature(d, z):
+    """E[X^2 1{X <= z}] = integral over (0, z) of 2x (tail(x) - tail(z)),
+    split at the kinks of Pareto and point-mass tails."""
+    def kinks(law):
+        if isinstance(law, FiniteMixture):
+            return [k for c in law.components for k in kinks(c)]
+        return [law.scale] if isinstance(law, Pareto) else (
+            [law.value] if isinstance(law, Deterministic) else [])
+
+    tz = float(d.tail(z))
+    cuts = sorted({0.0, z, *(k for k in kinks(d) if 0.0 < k < z)})
+    return sum(integrate.quad(lambda x: 2.0 * x * (float(d.tail(x)) - tz), lo, hi,
+                              limit=400, epsabs=0.0, epsrel=1e-12)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+SECOND_MOMENT_LAWS = [
+    Exponential(0.7),
+    Pareto(1.5, 3.0),
+    Pareto(0.7, 1.5),
+    Pareto(1.0, 2.0),
+    Weibull(1.0, 2.0),
+    Weibull(2.0, 0.7),
+    Weibull(0.5, 4.0),
+    Deterministic(1.5),
+    parse_distribution("mix(0.5*exp(1), 0.5*exp(1))"),
+    parse_distribution("mix(0.3*pareto(1,2), 0.7*pareto(1,2))"),
+    parse_distribution("mix(0.4*mix(0.5*weibull(1,2), 0.5*exp(3)), 0.6*pareto(1,3))"),
+    parse_distribution("mix(0.2*det(0.5), 0.8*weibull(1,0.7))"),
+]
+
+
+@pytest.mark.parametrize("d", SECOND_MOMENT_LAWS, ids=format_distribution)
+def test_truncated_second_moment_matches_quadrature(d):
+    zs = np.array([0.0, 0.3, 1.0, 2.5, 8.0, 40.0])
+    m2 = np.asarray(d.truncated_second_moment(zs), dtype=float)
+    assert m2.shape == zs.shape
+    for z, m in zip(zs, m2):
+        # array-wise, and the same value as one scalar at a time
+        assert m == float(d.truncated_second_moment(z))
+        assert m == pytest.approx(second_moment_quadrature(d, z), rel=1e-9, abs=1e-12)
+
+
+def test_pareto_second_moment_is_continuous_at_shape_two():
+    at_two = float(Pareto(1.0, 2.0).truncated_second_moment(50.0))
+    assert at_two == pytest.approx(2.0 * math.log(50.0), rel=1e-15)
+    for eps in (1e-12, -1e-12, 1e-7):
+        near = float(Pareto(1.0, 2.0 + eps).truncated_second_moment(50.0))
+        assert near == pytest.approx(at_two, rel=10 * abs(eps) * math.log(50.0) ** 2)
+    # the full second moment where it is finite
+    assert float(Pareto(1.0, 3.0).truncated_second_moment(np.inf)) == pytest.approx(3.0)
+
+
 def test_mixture_bad_weights_rejected():
     with pytest.raises(DistributionError):
         FiniteMixture((0.5, 0.6), (Exponential(1.0), Exponential(2.0)))

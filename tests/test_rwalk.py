@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from failsim.dist import Exponential
 from failsim.procgen import generate_renewal
 from failsim.restart import run_restart
 from failsim.rwalk import (
+    WalkTrace,
     estimate_walk_constants,
     find_regenerations,
     simulate_walk,
     simulate_walk_restart,
+    walk_constants,
     walk_efficiency,
 )
 
@@ -44,6 +47,40 @@ def test_find_regenerations_confirmed_epochs():
         level = positions[e - 1] if e > 0 else 0
         assert np.all(positions[e - 1:] >= level) if e > 0 else np.all(positions >= 0)
     assert censored >= 0
+
+
+def regenerations_level_by_level(trace):
+    """The per-level loop that find_regenerations replaced, as its reference."""
+    pos = trace.positions
+    suffix_min = np.minimum.accumulate(pos[::-1])[::-1]
+    epochs = []
+    censored = 0
+    for level, k in enumerate(trace.ladder_epochs, start=1):
+        if suffix_min[k] >= level:
+            epochs.append(int(k))
+        elif k == trace.ladder_epochs[-1]:
+            censored += 1
+    if suffix_min[0] >= 0:
+        epochs.insert(0, 0)
+    return np.asarray(epochs, dtype=np.int64), censored
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(min_value=0.0, max_value=0.49, exclude_max=True),
+       st.integers(min_value=1, max_value=400), st.integers(min_value=0, max_value=2**31))
+def test_find_regenerations_matches_the_level_loop(p, n_steps, seed):
+    # a walk cut after n_steps: its last ladder epochs may be censored, and
+    # a walk that never rises has none
+    steps = simulate_walk(p, n_steps, seed)
+    positions = np.concatenate(([0], np.cumsum(steps)))
+    ladder = np.searchsorted(np.maximum.accumulate(positions),
+                             np.arange(1, positions.max() + 1), side="left")
+    trace = WalkTrace(p=p, steps=steps, positions=positions, ladder_epochs=ladder)
+    epochs, censored = find_regenerations(trace)
+    ref_epochs, ref_censored = regenerations_level_by_level(trace)
+    assert epochs.dtype == ref_epochs.dtype
+    assert epochs.tolist() == ref_epochs.tolist()
+    assert censored == ref_censored
 
 
 def test_p_zero_reproduces_plain_restart_exactly():
@@ -91,6 +128,23 @@ def test_walk_constants_match_theory():
     # never-below-zero probability (1-2p)/(1-p) and mean visits 1/(1-2p)
     assert abs(gamma - (0.5 / 0.75)) < 4 * gamma_se + 0.01
     assert abs(rho - 2.0) < 4 * rho_se + 0.02
+
+
+@pytest.mark.parametrize("p", (0.1, 0.4))
+def test_walk_constants_are_the_monte_carlo_limit(p):
+    exact = walk_constants(p)
+    mc = estimate_walk_constants(p, seed=5, n_walks=1500, horizon=4000)
+    for name, margin in (("gamma", 0.01), ("rho", 0.02)):
+        value, se = mc[name]
+        assert exact[name][1] == 0.0
+        assert abs(value - exact[name][0]) < 4 * se + margin
+
+
+def test_walk_constants_closed_form():
+    assert walk_constants(0.25) == {"gamma": (0.5 / 0.75, 0.0), "rho": (2.0, 0.0)}
+    assert walk_constants(0.0) == {"gamma": (1.0, 0.0), "rho": (1.0, 0.0)}
+    with pytest.raises(ValueError):
+        walk_constants(0.5)
 
 
 def test_invalid_p_rejected():

@@ -121,6 +121,27 @@ def test_kernel_entries_in_an_endpoint_layer():
     assert rows[11][12] == pytest.approx(val, rel=1e-9)
 
 
+@pytest.mark.parametrize("lam", (0.3, 1.0, 4.0))
+@pytest.mark.parametrize("mu", (0.2, 1.0, 2.5))
+def test_exponential_kernel_is_the_quadrature(mu, lam):
+    # exp(mu) sizes take the closed form; analytic_n_kernel integrates
+    d = Exponential(mu)
+    for k in (0, 1, 3, 9):
+        ref = [analytic_n_kernel(d, lam, k, j) for j in range(k + 2)]
+        assert np.max(np.abs(kernel_row(d, lam, k) - ref)) <= 1e-12
+
+
+def test_kernel_rows_sum_to_one_with_an_endpoint_layer():
+    # Weibull(3, 4) sizes at mark rate 5: quad in w missed a layer at an
+    # end of (0, 1) without a warning, and these rows summed to
+    # 1 - 4.7e-8, 1 - 4.1e-6 and 1 - 1.7e-5
+    d = Weibull(3.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (9, 21, 39):
+            assert abs(kernel_row(d, 5.0, k).sum() - 1.0) <= 1e-12
+
+
 def test_stationary_distribution_is_a_fixed_point():
     d = Exponential(1.0)
     pi = stationary_n_distribution(d, 1.0, truncation=80)
@@ -135,12 +156,12 @@ def test_stationary_distribution_is_a_fixed_point():
 
 
 def scalar_stationary(d, lam, truncation):
-    """Reference law: the kernel entry by entry from kernel_row, and the
-    Perron eigenvector of its transpose."""
+    """Reference law: the kernel entry by entry from analytic_n_kernel, and
+    the Perron eigenvector of its transpose."""
     p = np.zeros((truncation, truncation))
     for k in range(truncation):
-        row = kernel_row(d, lam, k)[:truncation]
-        p[k, : len(row)] = row
+        for j in range(min(k + 2, truncation)):
+            p[k, j] = analytic_n_kernel(d, lam, k, j)
     p /= p.sum(axis=1, keepdims=True)
     vals, vecs = np.linalg.eig(p.T)
     pi = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
