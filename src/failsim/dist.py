@@ -105,9 +105,15 @@ class Exponential(Distribution):
         return (1.0 - np.exp(-a * z)) / a - z * np.exp(-a * z)
 
     def truncated_second_moment(self, z):
+        # (2/a^2) P(3, az); the elementary form cancels below az = 1, and
+        # above it is kept, so that the restart shortcut's values stay put
         a = self.rate
         az = a * np.asarray(z, dtype=float)
-        return (2.0 - np.exp(-az) * (az * az + 2.0 * az + 2.0)) / (a * a)
+        return np.where(
+            az < 1.0,
+            2.0 * special.gammainc(3.0, az),
+            2.0 - np.exp(-az) * (az * az + 2.0 * az + 2.0),
+        ) / (a * a)
 
     def quantile(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate

@@ -7,6 +7,13 @@ single regime draw selects the mark law for the whole replication.
 Windows are immutable; extending a window re-derives every inter-arrival
 from the keyed stream, so a longer window is always a prefix-consistent
 superset of a shorter one with the same seed.
+
+A Markov window's states are drawn with no per-point loop: one keyed
+uniform per point, a next-state table of every state's successor at every
+step (one ``searchsorted`` per row of the transition matrix), and pointer
+doubling, which composes the table's steps into prefix maps in log2 passes
+(`markov_states`), in tiles of at most SCAN_TILE entries.  The states
+equal those of the one-point-at-a-time walk, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +24,12 @@ import numpy as np
 
 from . import rng
 from .dist import BoundedSupportError, Distribution
+
+# Every scan holds at most SCAN_TILE values at once: the restart and
+# checkpoint scans' draws (one task's batch at least) and the Markov state
+# walk's next-state table.  A tile's few work arrays then fit a 2 MB L2
+# cache, and memory is bounded by the tile, not by the size of the run.
+SCAN_TILE = 1 << 15
 
 
 class ProcessError(ValueError):
@@ -157,8 +170,15 @@ class MarkovRenewalSpec:
         k = len(self.states)
         if p.shape != (k, k):
             raise ProcessError("transition matrix shape does not match states")
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-12):
+        if not _stochastic(p):
             raise ProcessError("transition rows must be stochastic to 1e-12")
+        if self.initial is not None:
+            init = np.asarray(self.initial, dtype=float)
+            object.__setattr__(self, "initial", init)
+            if init.shape != (k,) or not _stochastic(init):
+                raise ProcessError(
+                    f"initial law must have {k} nonnegative entries summing to 1 to 1e-12"
+                )
         if not _irreducible(p):
             raise ProcessError("transition matrix must be irreducible")
         for laws in (self.size_laws, self.mark_laws):
@@ -201,6 +221,11 @@ def stationary_law(p: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _stochastic(p: np.ndarray) -> bool:
+    """Nonnegative entries, each row summing to 1 to within 1e-12 (NaN fails)."""
+    return bool(np.all(p >= 0) and np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12))
+
+
 def _irreducible(p: np.ndarray) -> bool:
     k = p.shape[0]
     reach = (p > 0) | np.eye(k, dtype=bool)
@@ -209,29 +234,80 @@ def _irreducible(p: np.ndarray) -> bool:
     return bool(np.all(reach))
 
 
+def cumulative_law(p) -> np.ndarray:
+    """Cumulative sums of a law, or of each row of a stochastic matrix, with
+    the entry of the last state of positive probability and every later one
+    raised to +inf.  ``searchsorted(c, u, side="right")`` then maps every
+    uniform u in [0, 1) to a state of positive probability, also where
+    rounding leaves a row's sum just below 1 (rows are accepted to 1e-12).
+    Below the raised entry the sums are those of ``np.cumsum``."""
+    p = np.asarray(p, dtype=float)
+    cum = np.cumsum(p, axis=-1)
+    last = p.shape[-1] - 1 - np.argmax(p[..., ::-1] > 0, axis=-1)
+    cum[np.arange(p.shape[-1]) >= np.expand_dims(last, -1)] = np.inf
+    return cum
+
+
+def markov_states(cum_init, cum_rows, us) -> np.ndarray:
+    """The states of a chain driven by the uniforms ``us``: state 0 is drawn
+    from ``cum_init`` by us[0], and state n from the row ``cum_rows[state
+    n-1]`` by us[n] (both from `cumulative_law`).
+
+    There is no per-point loop.  A tile of steps m = lo, ..., lo + w - 1
+    holds the k x w next-state table f[i, m] = searchsorted(cum_rows[i],
+    us[m], side="right"), one searchsorted per row i, and composes it in
+    place by pointer doubling: after the pass at distance d, column m holds
+    the map of steps max(lo, m - 2d + 1), ..., m composed, so after
+    ceil(log2 w) passes it maps the state before the tile to state m (a
+    prefix scan over function composition; Hillis & Steele 1986, Blelloch
+    1990).  Each tile starts from the last state of the one before it and
+    holds at most SCAN_TILE table entries (one column at least), so memory
+    is bounded by the tile whatever the chain length and the state count.
+    """
+    k, n = len(cum_rows), len(us) - 1
+    states = np.empty(n + 1, dtype=np.intp)
+    states[0] = np.searchsorted(cum_init, us[0], side="right")
+    width = max(SCAN_TILE // k, 1)
+    table = np.empty((k, min(width, n)), dtype=np.intp)
+    for lo in range(1, n + 1, width):
+        u = us[lo:lo + width]
+        f = table[:, :len(u)]
+        for i in range(k):
+            f[i] = np.searchsorted(cum_rows[i], u, side="right")
+        d = 1
+        while d < len(u):
+            f[:, d:] = np.take_along_axis(f[:, d:], f[:, :-d], axis=0)
+            d *= 2
+        states[lo:lo + len(u)] = f[states[lo - 1]]
+    return states
+
+
 def generate_markov_renewal(
     spec: MarkovRenewalSpec, n_points: int, seed: int, replication: int = 0
 ) -> MarkedWindow:
+    """A Markov renewal window of ``n_points`` points.
+
+    State 0 is drawn from the initial law (the stationary law when
+    ``spec.initial`` is None) and state n from row state n-1 of the
+    transition matrix, by keyed uniforms 0..n_points of domain STATE.
+    `markov_states` walks them with a tiled next-state table composed by
+    pointer doubling.  Point n's transition (state n, state n+1) selects
+    its size and mark laws, and ``law_index[n]``, its place in
+    ``spec.transition_pairs()``, is one gather in a k x k pair table.
+    """
     if n_points < 1:
         raise ProcessError("n_points must be >= 1")
     k = len(spec.states)
     init = spec.initial if spec.initial is not None else spec.stationary()
-    cum_init = np.cumsum(init)
-    cum_rows = np.cumsum(spec.transition, axis=1)
-
     us = rng.keyed_uniform(
         seed, replication, rng.DOMAIN_STATE, np.arange(0, n_points + 1)
     )
-    states = np.empty(n_points + 1, dtype=np.intp)
-    states[0] = int(np.searchsorted(cum_init, us[0], side="right"))
-    for n in range(1, n_points + 1):
-        states[n] = int(np.searchsorted(cum_rows[states[n - 1]], us[n], side="right"))
+    states = markov_states(cumulative_law(init), cumulative_law(spec.transition), us)
 
     pairs = spec.transition_pairs()
-    pair_id = {pr: t for t, pr in enumerate(pairs)}
-    law_index = np.array(
-        [pair_id[(int(states[n]), int(states[n + 1]))] for n in range(n_points)], dtype=np.intp
-    )
+    pair_table = np.full((k, k), -1, dtype=np.intp)
+    pair_table[tuple(np.array(pairs).T)] = np.arange(len(pairs))
+    law_index = pair_table[states[:-1], states[1:]]
 
     idx = np.arange(1, n_points + 1)
     u = rng.keyed_uniform(seed, replication, rng.DOMAIN_SIZE, idx)

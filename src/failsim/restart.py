@@ -27,17 +27,14 @@ from scipy import special
 from . import rng
 from .analytic import ExpectedTime, TimeClass, expected_restart_time
 from .dist import Distribution, compare_tails
-from .procgen import MarkedWindow, MarkovRenewalSpec
+from .procgen import SCAN_TILE, MarkedWindow, MarkovRenewalSpec
 
 DEFAULT_ATTEMPT_CAP = 1_000_000_000
 # Expected attempts above this use the geometric/Gaussian shortcut.
 APPROX_ATTEMPTS_THRESHOLD = 1e5
 # The scans draw at most MAX_BATCH values per task and round, and hold at
-# most SCAN_TILE of them at once (one task's batch at least): a tile's few
-# work arrays then fit a 2 MB L2 cache, and memory is bounded by the tile,
-# not by tasks times batch.
+# most SCAN_TILE (`procgen.SCAN_TILE`) of them at once.
 MAX_BATCH = 4096
-SCAN_TILE = 1 << 15
 
 
 class PathologicalIterationError(RuntimeError):
@@ -357,6 +354,10 @@ def mrp_efficiency(spec: MarkovRenewalSpec) -> MrpEfficiency:
 
     A slow pair (size tail dominating mark tail on some positive-probability
     transition) forces an infinite stationary actual time, hence ratio 0.
+    The numerator, a weighted mean of the size laws' closed-form means, is
+    `FiniteProved` with bound 0.  A finite denominator is `FiniteProved`
+    with bound 0 when every pair's expected time is, and otherwise
+    `FiniteNumeric` with the weighted sum of the pairs' bounds.
     """
     pi = spec.stationary()
     slow = tuple(
@@ -367,13 +368,14 @@ def mrp_efficiency(spec: MarkovRenewalSpec) -> MrpEfficiency:
     num = 0.0
     for (i, j) in spec.transition_pairs():
         num += pi[i] * spec.transition[i, j] * spec.size_laws[(i, j)].mean()
-    numerator = ExpectedTime(num, TimeClass.FINITE_NUMERIC, 0.0)
+    numerator = ExpectedTime(num, TimeClass.FINITE_PROVED, 0.0)
     if slow:
         return MrpEfficiency(
             numerator, ExpectedTime(math.inf, TimeClass.INFINITE_PROVED), 0.0, slow
         )
     den = 0.0
     den_err = 0.0
+    proved = True
     for (i, j) in spec.transition_pairs():
         w = pi[i] * spec.transition[i, j]
         et = expected_restart_time(spec.size_laws[(i, j)], spec.mark_laws[(i, j)])
@@ -383,9 +385,7 @@ def mrp_efficiency(spec: MarkovRenewalSpec) -> MrpEfficiency:
             )
         den += w * et.value
         den_err += w * (et.abs_error_bound or 0.0)
-    return MrpEfficiency(
-        numerator,
-        ExpectedTime(den, TimeClass.FINITE_NUMERIC, den_err),
-        num / den,
-        slow,
-    )
+        proved = proved and et.classification is TimeClass.FINITE_PROVED
+    denominator = (ExpectedTime(den, TimeClass.FINITE_PROVED, 0.0) if proved
+                   else ExpectedTime(den, TimeClass.FINITE_NUMERIC, den_err))
+    return MrpEfficiency(numerator, denominator, num / den, slow)

@@ -73,6 +73,13 @@ def _get(doc, path, required=False, default=None):
     return cur
 
 
+def _float_array(raw, path):
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(path, f"expected numbers, got {raw!r}") from exc
+
+
 def _num(doc, path, cast, default=None, required=False, check=None, what=""):
     raw = _get(doc, path, required=required)
     if raw is None:
@@ -90,8 +97,7 @@ def _build_mrp(proc: dict) -> MarkovRenewalSpec:
     states = _get(proc, "states", required=True)
     if not isinstance(states, list) or len(states) < 1:
         raise ScenarioError("process.states", "expected a nonempty list")
-    trans = _get(proc, "transition", required=True)
-    p = np.asarray(trans, dtype=float)
+    p = _float_array(_get(proc, "transition", required=True), "process.transition")
     idx = {s: i for i, s in enumerate(states)}
 
     def law_table(key):
@@ -113,7 +119,8 @@ def _build_mrp(proc: dict) -> MarkovRenewalSpec:
         return out
 
     initial_raw = _get(proc, "initial", default="stationary")
-    initial = None if initial_raw == "stationary" else np.asarray(initial_raw, dtype=float)
+    initial = (None if initial_raw == "stationary"
+               else _float_array(initial_raw, "process.initial"))
     try:
         return MarkovRenewalSpec(
             states=tuple(states), transition=p,

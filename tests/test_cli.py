@@ -123,6 +123,34 @@ def test_periodic_markov_chain_runs(tmp_path):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("initial", [[0.3, 0.3], [1.0], [1.5, -0.5], [0.5, None], "even"])
+def test_bad_initial_law_is_a_validation_error(tmp_path, capsys, initial):
+    doc = yaml.safe_load((SCENARIOS / "mrp_alternating.yaml").read_text())
+    doc["process"]["initial"] = initial
+    path = write_yaml(tmp_path / "s.yaml", doc)
+    argv = ["run", path, "--seed", "17", "--override", "R=12", "--override", "N=2000",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "process" in err and "Traceback" not in err
+    assert main(["validate", path]) == EXIT_VALIDATION
+
+
+def test_explicit_initial_law_runs(tmp_path):
+    doc = yaml.safe_load((SCENARIOS / "mrp_alternating.yaml").read_text())
+    doc["process"]["initial"] = [1.0, 0.0]
+    path = write_yaml(tmp_path / "s.yaml", doc)
+    out = tmp_path / "out"
+    argv = ["run", path, "--override", "N=2000", "--override", "output.traces=true",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    # every replication starts in state a
+    for rep in range(2):
+        with open(out / f"rep_{rep}_trace.csv") as fh:
+            header, first = fh.readline(), fh.readline()
+        assert first.split(",")[header.strip().split(",").index("state")] == "a"
+
+
 def test_process_error_exit_code(tmp_path, monkeypatch, capsys):
     def broken(self):
         raise ProcessError("stationary law unavailable")

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from failsim import procgen, rng
 from failsim.dist import (
     BoundedSupportError,
     Deterministic,
@@ -12,10 +16,12 @@ from failsim.dist import (
 from failsim.procgen import (
     MarkovRenewalSpec,
     ProcessError,
+    cumulative_law,
     generate_markov_renewal,
     generate_mixture,
     generate_renewal,
     keyed_sizes,
+    markov_states,
 )
 
 
@@ -191,6 +197,115 @@ def test_markov_empirical_occupancy():
     w = generate_markov_renewal(spec, 50_000, seed=8)
     freq0 = np.mean(np.asarray(w.state_labels) == 0)
     assert abs(freq0 - pi[0]) < 0.01
+
+
+# -- the Markov state walk against the per-point loop it replaced --------------
+
+
+def reference_walk(spec, n_points, seed, replication=0):
+    """States and law indices of a Markov renewal window, one point at a time."""
+    init = spec.initial if spec.initial is not None else spec.stationary()
+    cum_init = np.cumsum(init)
+    cum_rows = np.cumsum(spec.transition, axis=1)
+    us = rng.keyed_uniform(seed, replication, rng.DOMAIN_STATE, np.arange(0, n_points + 1))
+    states = np.empty(n_points + 1, dtype=np.intp)
+    states[0] = int(np.searchsorted(cum_init, us[0], side="right"))
+    for n in range(1, n_points + 1):
+        states[n] = int(np.searchsorted(cum_rows[states[n - 1]], us[n], side="right"))
+    pair_id = {pr: t for t, pr in enumerate(spec.transition_pairs())}
+    law_index = [pair_id[(int(states[n]), int(states[n + 1]))] for n in range(n_points)]
+    return states.tolist(), law_index
+
+
+def chain_spec(weights, initial=None):
+    """A spec on integer transition weights, exp laws on every reachable pair."""
+    w = np.asarray(weights, dtype=float)
+    p = w / w.sum(axis=1, keepdims=True)
+    laws = {(int(i), int(j)): Exponential(1.0 + i + j) for i, j in zip(*np.nonzero(p))}
+    if initial is not None:
+        initial = np.asarray(initial, dtype=float) / sum(initial)
+    return MarkovRenewalSpec(
+        states=tuple(f"s{i}" for i in range(len(p))), transition=p,
+        size_laws=laws, mark_laws={pr: Exponential(0.5) for pr in laws}, initial=initial,
+    )
+
+
+@st.composite
+def chains(draw):
+    """Irreducible chains on 1-4 states: a cycle through every state (alone
+    it is periodic) plus random extra weights, many of them zero."""
+    k = draw(st.integers(1, 4))
+    w = np.zeros((k, k), dtype=int)
+    for i in range(k):
+        w[i, (i + 1) % k] = draw(st.integers(1, 3))
+    if not draw(st.booleans()):
+        w += np.array(draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=k * k,
+                                    max_size=k * k))).reshape(k, k)
+    initial = draw(st.none() | st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                   .filter(lambda ws: sum(ws) > 0))
+    return chain_spec(w, initial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains(), st.integers(1, 120), st.integers(0, 2**32 - 1), st.integers(0, 3),
+       st.sampled_from([procgen.SCAN_TILE, 16, 5, 1]))
+def test_markov_walk_matches_per_point_loop(spec, n, seed, replication, tile):
+    # small tiles put many tile boundaries inside the window
+    with mock.patch.object(procgen, "SCAN_TILE", tile):
+        w = generate_markov_renewal(spec, n, seed, replication)
+    states, law_index = reference_walk(spec, n, seed, replication)
+    assert w.state_labels.tolist() == states[:-1]
+    assert w.law_index.tolist() == law_index
+    pairs = spec.transition_pairs()
+    assert [pairs[t] for t in w.law_index] == list(zip(states[:-1], states[1:]))
+
+
+@pytest.mark.parametrize("weights", [
+    [[0, 1], [1, 0]],
+    [[1, 2, 0], [1, 0, 1], [3, 1, 1]],
+    [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+], ids=["alternating", "dense", "periodic"])
+def test_markov_walk_crosses_full_tiles(weights):
+    # 40,000 points span three or four tiles of SCAN_TILE table entries
+    spec = chain_spec(weights)
+    w = generate_markov_renewal(spec, 40_000, seed=5, replication=1)
+    states, law_index = reference_walk(spec, 40_000, seed=5, replication=1)
+    assert w.state_labels.tolist() == states[:-1]
+    assert w.law_index.tolist() == law_index
+
+
+def test_cumulative_law_is_cumsum_below_the_last_positive_state():
+    p = np.array([[0.3, 0.7, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5 - 1e-13, 0.0]])
+    cum = cumulative_law(p)
+    assert cum[:, 0].tolist() == [0.3, 0.0, 0.5]
+    assert cum[1, 1] == 0.0
+    assert np.isinf(cum[[0, 0, 1, 2, 2], [1, 2, 2, 1, 2]]).all()
+    assert cumulative_law(np.array([0.25, 0.75])).tolist() == [0.25, np.inf]
+
+
+def test_markov_walk_is_total_at_the_top_of_a_row():
+    # rows and laws are accepted up to 1e-12 off 1; a uniform at or above a
+    # row's last cumulative sum selects its last state of positive
+    # probability, never a zero-probability state or index k
+    spec = chain_spec([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    p = spec.transition.copy()
+    p[0] = [0.5, 0.5 - 1e-13, 0.0]
+    p[2] = [0.0, 0.25, 0.75 - 1e-13]
+    spec = MarkovRenewalSpec(spec.states, p, spec.size_laws, spec.mark_laws,
+                             initial=np.array([0.6, 0.4 - 1e-13, 0.0]))
+    top = 1.0 - 1e-14
+    cum_init, cum_rows = cumulative_law(spec.initial), cumulative_law(spec.transition)
+    states = markov_states(cum_init, cum_rows, np.array([top, top, top, 0.1, top, top]))
+    assert states.tolist() == [1, 2, 2, 1, 2, 2]
+    states = markov_states(cum_init, cum_rows, np.array([0.1, 0.5 - 1e-15, top, 0.0]))
+    assert states.tolist() == [0, 0, 1, 0]
+    # the same uniforms, read from the keyed stream, through the generator
+    chosen = np.array([top, top, top, 0.1, top, top])
+    with mock.patch.object(rng, "keyed_uniform", side_effect=[chosen, np.full(5, 0.5)]):
+        w = generate_markov_renewal(spec, 5, seed=1)
+    assert w.state_labels.tolist() == [1, 2, 2, 1, 2]
+    assert [spec.transition_pairs()[t] for t in w.law_index] == [
+        (1, 2), (2, 2), (2, 1), (1, 2), (2, 2)]
 
 
 def test_n_points_must_be_positive():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from failsim import restart
+from failsim.analytic import TimeClass, expected_restart_time
 from failsim.dist import Exponential, Weibull
 from failsim.procgen import MarkovRenewalSpec, generate_renewal
 from failsim.restart import (
@@ -145,6 +146,32 @@ def test_mrp_alternating_example():
     res = mrp_efficiency(alternating_spec())
     assert res.ratio == pytest.approx(5.0 / 9.0, abs=1e-6)
     assert not res.slow_pairs
+
+
+def test_mrp_closed_form_pairs_are_proved():
+    res = mrp_efficiency(alternating_spec())
+    # (1/2 + 1/3) / 2 ideal and (1 + 1/2) / 2 actual time per transition
+    assert res.numerator.value == pytest.approx(5.0 / 12.0, rel=1e-15)
+    assert res.denominator.value == pytest.approx(0.75, rel=1e-15)
+    for part in (res.numerator, res.denominator):
+        assert part.classification is TimeClass.FINITE_PROVED
+        assert part.abs_error_bound == 0.0
+
+
+def test_mrp_quadrature_pair_is_numeric():
+    spec = MarkovRenewalSpec(
+        states=("a", "b"),
+        transition=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        size_laws={(0, 1): Weibull(0.5, 2.0), (1, 0): Exponential(3.0)},
+        mark_laws={(0, 1): Exponential(1.0), (1, 0): Exponential(1.0)},
+    )
+    res = mrp_efficiency(spec)
+    numeric = expected_restart_time(Weibull(0.5, 2.0), Exponential(1.0))
+    assert numeric.classification is TimeClass.FINITE_NUMERIC
+    assert res.numerator.classification is TimeClass.FINITE_PROVED
+    assert res.denominator.classification is TimeClass.FINITE_NUMERIC
+    assert res.denominator.abs_error_bound == pytest.approx(
+        0.5 * numeric.abs_error_bound, rel=1e-15)
 
 
 def test_mrp_slow_pair_forces_zero():
