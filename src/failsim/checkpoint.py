@@ -78,8 +78,8 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
     """Walk each task's winning mark forward from its checkpoint.
 
     Task k has covered ``d_start[k]`` on reaching checkpoint start[k] + 1;
-    the keyed sizes after it are added one at a time, in chunks of 4
-    doubling to 4096 over the row tiles of `scan_rounds`, while the
+    the keyed sizes after it are added one at a time, in chunks of 4,
+    doubling, over the row tiles of `scan_rounds`, while the
     running sum stays below ``win[k]`` (or at most ``win[k]`` where
     ``inclusive[k]``).  ``replication`` and ``inclusive`` are one value or
     one per task.  Returns per task the landed checkpoint, X_end - X_start

@@ -102,17 +102,21 @@ class Exponential(Distribution):
     def truncated_mean(self, z):
         z = np.asarray(z, dtype=float)
         a = self.rate
-        return (1.0 - np.exp(-a * z)) / a - z * np.exp(-a * z)
+        tail = np.exp(-a * z)
+        # z e^{-az} is 0 wherever the tail is, z = inf included (not 0 * inf)
+        return (1.0 - tail) / a - np.where(tail > 0.0, z, 0.0) * tail
 
     def truncated_second_moment(self, z):
         # (2/a^2) P(3, az); the elementary form cancels below az = 1, and
         # above it is kept, so that the restart shortcut's values stay put
         a = self.rate
         az = a * np.asarray(z, dtype=float)
+        tail = np.exp(-az)
+        poly_at = np.where(tail > 0.0, az, 0.0)  # as in truncated_mean
         return np.where(
             az < 1.0,
             2.0 * special.gammainc(3.0, az),
-            2.0 - np.exp(-az) * (az * az + 2.0 * az + 2.0),
+            2.0 - tail * (poly_at * poly_at + 2.0 * poly_at + 2.0),
         ) / (a * a)
 
     def quantile(self, u):

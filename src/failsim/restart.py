@@ -26,14 +26,15 @@ from scipy import special
 
 from . import rng
 from .analytic import ExpectedTime, TimeClass, expected_restart_time
-from .dist import Distribution, compare_tails
+from .dist import Distribution, Exponential, compare_tails
 from .procgen import SCAN_TILE, MarkedWindow, MarkovRenewalSpec
 
 DEFAULT_ATTEMPT_CAP = 1_000_000_000
 # Expected attempts above this use the geometric/Gaussian shortcut.
 APPROX_ATTEMPTS_THRESHOLD = 1e5
-# The scans draw at most MAX_BATCH values per task and round, and hold at
-# most SCAN_TILE (`procgen.SCAN_TILE`) of them at once.
+# The scans draw at most MAX_BATCH values per task and round, or a tile's
+# share once fewer tasks are left than fill a tile, and hold at most
+# SCAN_TILE (`procgen.SCAN_TILE`) of them at once.
 MAX_BATCH = 4096
 
 
@@ -109,14 +110,16 @@ def scan_rounds(n, first_batch, step):
     """Run the rounds of a scan over ``n`` tasks, in row tiles.
 
     Round r gives every still active task a batch of ``first_batch * 2**r``
-    draws, at most MAX_BATCH.  Its tasks are cut into tiles of at most
-    SCAN_TILE values (one task at least), and ``step(tasks, keys, u,
-    flags)`` handles one tile: ``tasks`` are task indices, and ``keys``
-    (int64), ``u`` (float64) and ``flags`` (bool) are (tasks, batch) work
-    arrays, views of buffers made once per scan and reused by every tile.
-    ``step`` returns which of its tasks stay active.
+    draws, at most MAX_BATCH, or at most one tile's share when fewer than
+    SCAN_TILE // MAX_BATCH tasks remain, so that stragglers draw whole
+    tiles.  Its tasks are cut into tiles of at most SCAN_TILE values (one
+    task at least), and ``step(tasks, keys, u, flags)`` handles one tile:
+    ``tasks`` are task indices, and ``keys`` (int64), ``u`` (float64) and
+    ``flags`` (bool) are (tasks, batch) work arrays, views of buffers made
+    once per scan and reused by every tile.  ``step`` returns which of its
+    tasks stay active.
     """
-    size = min(max(SCAN_TILE, MAX_BATCH), n * MAX_BATCH)
+    size = max(SCAN_TILE, MAX_BATCH)
     buffers = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size, dtype=bool)
     active = np.arange(n)
     batch = first_batch
@@ -129,22 +132,32 @@ def scan_rounds(n, first_batch, step):
             views = (buf[:len(tasks) * batch].reshape(shape) for buf in buffers)
             keep[lo:lo + rows] = step(tasks, *views)
         active = active[keep]
-        batch = min(batch * 2, MAX_BATCH)
+        batch = min(batch * 2, max(MAX_BATCH, SCAN_TILE // max(len(active), 1)))
 
 
 def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
-                     attempt_cap=DEFAULT_ATTEMPT_CAP):
+                     attempt_cap=DEFAULT_ATTEMPT_CAP, winners_only=False):
     """First mark strictly above each task's threshold, over many tasks at once.
 
     Task k reads attempts offsets[k] + 1, offsets[k] + 2, ... of the mark
-    lane (seed, replication[k], MARK, points[k]) in batches of 8 marks,
-    doubling to 4096, over the row tiles of `scan_rounds`; ``replication``
-    is one value or one per task.  Returns per task the failure count, the
-    wasted time (the failed marks, summed draw by draw as
-    `run_restart_iteration` sums them), the winning mark, and a flag for a
-    task whose failures reach ``attempt_cap``.  A flagged task stops
-    scanning and its winning mark is NaN; this never raises, so each caller
-    raises for the flagged tasks it uses.
+    lane (seed, replication[k], MARK, points[k]) in batches over the row
+    tiles of `scan_rounds`, starting at 8 marks; ``replication`` is one
+    value or one per task.  Returns per task the failure count, the wasted
+    time (the failed marks, summed draw by draw as `run_restart_iteration`
+    sums them), the winning mark, and a flag for a task whose failures
+    reach ``attempt_cap``.  A flagged task stops scanning and its winning
+    mark is NaN; this never raises, so each caller raises for the flagged
+    tasks it uses.
+
+    With ``winners_only`` the wasted time is not summed and comes back as
+    None, and the marks must be `Exponential`.  The scan then works on the
+    uniforms: Q(u) = -log1p(-u) / rate beats D only above 1 - tail(D), so
+    no uniform at or below that bound, lowered by a relative 2**-20 that
+    dwarfs the rounding of tail, log1p and the division, can win.  A
+    row's first uniform above the bound is its candidate; its mark is
+    taken and judged with the strict ``>``, and a row whose candidate does
+    not win is decided by the marks of the whole row.  Failures, winning
+    marks and flags are those of the default mode, bit for bit.
     """
     points = np.asarray(points, dtype=np.int64)
     n = len(points)
@@ -152,9 +165,33 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
     offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), n)
     reps = np.asarray(replication, dtype=np.int64)
     failures = np.zeros(n, dtype=np.int64)
-    wasted = np.zeros(n)
+    wasted = None if winners_only else np.zeros(n)
     win = np.full(n, np.nan)
     capped = np.zeros(n, dtype=bool)
+    if winners_only:
+        if not isinstance(law, Exponential):
+            raise ValueError("a winners-only scan needs exponential marks")
+        bound = np.nextafter(1.0 - law.tail(thresholds) * (1.0 + 2.0**-20), 0.0)
+
+    def first_above(marks, limit, flags):
+        """Per row of ``marks``: the first mark above ``limit``, its column,
+        and whether there is one."""
+        first = np.argmax(np.greater(marks, limit[:, None], out=flags), axis=1)
+        won = marks[np.arange(len(marks)), first]
+        return won, first, won > limit
+
+    def winners(tasks, u, flags):
+        first = np.argmax(np.greater(u, bound[tasks][:, None], out=flags), axis=1)
+        cand = np.flatnonzero(flags[np.arange(len(tasks)), first])
+        won = np.full(len(tasks), np.nan)
+        won[cand] = law.quantile(u[cand, first[cand]])
+        limit = thresholds[tasks]
+        hit = won > limit
+        unsure = cand[~hit[cand]]  # a tie, or a candidate inside the margin
+        if len(unsure):
+            won[unsure], first[unsure], hit[unsure] = first_above(
+                law.quantile(u[unsure]), limit[unsure], flags[:len(unsure)])
+        return won, first, hit
 
     def step(tasks, attempts, u, flags):
         batch = u.shape[1]
@@ -162,18 +199,19 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
                out=attempts)
         rng.keyed_uniform(seed, reps if reps.ndim == 0 else reps[tasks][:, None],
                           rng.DOMAIN_MARK, points[tasks][:, None], attempts, out=u)
-        marks = np.asarray(law.quantile(u), dtype=float)
-        success = np.greater(marks, thresholds[tasks][:, None], out=flags)
-        first = np.argmax(success, axis=1)
-        rows = np.arange(len(tasks))
-        hit = success[rows, first]
+        if winners_only:
+            won, first, hit = winners(tasks, u, flags)
+        else:
+            marks = np.asarray(law.quantile(u), dtype=float)
+            won, first, hit = first_above(marks, thresholds[tasks], flags)
         j = np.where(hit, first, batch)  # failures in this batch
-        won = marks[rows, first]
-        # fold the running total into the first column: the cumsum then adds
-        # one mark at a time, as the scalar loop does
-        marks[:, 0] += wasted[tasks]
-        prefix = np.cumsum(marks, axis=1, out=marks)
-        wasted[tasks] = np.where(j > 0, prefix[rows, j - 1], wasted[tasks])
+        if wasted is not None:
+            # fold the running total into the first column: the cumsum then
+            # adds one mark at a time, as the scalar loop does
+            marks[:, 0] += wasted[tasks]
+            prefix = np.cumsum(marks, axis=1, out=marks)
+            wasted[tasks] = np.where(j > 0, prefix[np.arange(len(tasks)), j - 1],
+                                     wasted[tasks])
         failures[tasks] += j
         capped[tasks] = _reaches_cap(failures[tasks], attempt_cap)
         win[tasks] = np.where(hit & ~capped[tasks], won, np.nan)

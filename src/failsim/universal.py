@@ -71,11 +71,12 @@ def compute_all_kappas(
 ) -> np.ndarray:
     """kappa for points 0..n_points-1 of a renewal window.
 
-    The checkpoint engine's two scans over every point at once, with the
-    inclusive rule: kappa_n is the largest k with X_k - X_n <= the winning
-    mark, the ``end_index`` of ``run_checkpoint_iteration(window, n,
-    inclusive=True)``.  Raises as that walk does at the first point that
-    reaches ``attempt_cap`` or ``scan_cap``.
+    The checkpoint engine's two scans over every point at once, the mark
+    scan in its winners-only mode, with the inclusive rule: kappa_n is the
+    largest k with X_k - X_n <= the winning mark, the ``end_index`` of
+    ``run_checkpoint_iteration(window, n, inclusive=True)``.  Raises as
+    that walk does at the first point that reaches ``attempt_cap`` or
+    ``scan_cap``.
     """
     if window.kind != "renewal":
         raise ValueError("kappa computation runs on renewal windows")
@@ -83,7 +84,8 @@ def compute_all_kappas(
     seed, rep = window.seed, window.replication
     pts = np.arange(n_points, dtype=np.int64)
     d_start = keyed_sizes(window.size_law, seed, rep, pts)
-    _, _, win, capped = first_exceedance(law, seed, rep, pts, d_start, 0, attempt_cap)
+    _, _, win, capped = first_exceedance(law, seed, rep, pts, d_start, 0, attempt_cap,
+                                          winners_only=True)
     kappa, _, scan_capped = covered_checkpoints(
         window.size_law, seed, rep, pts, d_start, win, True, scan_cap)
     raise_first_capped(pts, capped, scan_capped, attempt_cap, scan_cap)

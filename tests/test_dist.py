@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,33 @@ def test_truncated_second_moment_matches_quadrature(d):
         # the moment is at most z^2, so the absolute slack shrinks with it
         assert m == pytest.approx(second_moment_quadrature(d, z), rel=1e-9,
                                   abs=1e-12 * min(z * z, 1.0))
+
+
+def full_moments(d):
+    """E[X] and E[X^2] of a law, from its parameters."""
+    if isinstance(d, FiniteMixture):
+        parts = [full_moments(c) for c in d.components]
+        return tuple(sum(w * p[i] for w, p in zip(d.weights, parts)) for i in (0, 1))
+    if isinstance(d, Exponential):
+        return 1.0 / d.rate, 2.0 / d.rate**2
+    if isinstance(d, Pareto):
+        m2 = d.shape * d.scale**2 / (d.shape - 2.0) if d.shape > 2.0 else math.inf
+        return d.shape * d.scale / (d.shape - 1.0), m2
+    if isinstance(d, Weibull):
+        return d.mean(), d.scale**2 * math.gamma(1.0 + 2.0 / d.shape)
+    return d.value, d.value**2
+
+
+@pytest.mark.parametrize("d", SECOND_MOMENT_LAWS + [
+    parse_distribution("mix(0.5*exp(1),0.5*exp(3))"), Exponential(1e-3)],
+    ids=format_distribution)
+def test_truncated_moments_at_infinity_are_the_full_moments(d):
+    mean, m2 = full_moments(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (np.inf, np.array([np.inf, np.inf])):
+            assert np.asarray(d.truncated_mean(z)) == pytest.approx(mean, rel=1e-12)
+            assert np.asarray(d.truncated_second_moment(z)) == pytest.approx(m2, rel=1e-12)
 
 
 def test_pareto_second_moment_is_continuous_at_shape_two():

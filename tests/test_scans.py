@@ -235,6 +235,73 @@ def test_kappas_match_scalar(d, rate, cap, scan_cap, seed, tile):
     assert got == ref
 
 
+# -- the winners-only mode against the default mode -----------------------------
+
+
+def lane_mark(law, seed, rep, point, attempt):
+    """The mark that attempt ``attempt`` of a lane draws, as the scans take it."""
+    u = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, point, attempt)
+    return float(law.quantile(np.array([u]))[0])
+
+
+def both_modes(*args, **kwargs):
+    default = first_exceedance(*args, **kwargs)
+    fast = first_exceedance(*args, **kwargs, winners_only=True)
+    assert fast[1] is None
+    assert fast[0].tolist() == default[0].tolist()
+    assert np.array_equal(fast[2], default[2], equal_nan=True)
+    assert fast[3].tolist() == default[3].tolist()
+    return default
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.5, 2.0), size_laws(), caps, seeds, tiles, st.data())
+def test_winners_only_matches_default_mode(rate, d, cap, seed, tile, data):
+    law = Exponential(rate)
+    n = 30
+    points = np.arange(n) * 3
+    sizes = keyed_sizes(d, seed, 0, points)
+    ints = st.lists(st.integers(0, 40), min_size=n, max_size=n)
+    offsets, reps = np.array(data.draw(ints)), np.array(data.draw(ints))
+    # some thresholds at one of the first marks a lane draws, or just below
+    # it: ties and candidates inside the bound's margin
+    for k, (attempt, below) in enumerate(data.draw(st.lists(
+            st.tuples(st.integers(0, 12), st.booleans()), min_size=n, max_size=n))):
+        if attempt:
+            mark = lane_mark(law, seed, reps[k], points[k], offsets[k] + attempt)
+            sizes[k] = np.nextafter(mark, 0.0) if below else mark
+    if cap is None:
+        sizes = np.where(tractable(law, sizes), sizes, 1.0)
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        both_modes(law, seed, reps, points, sizes, offsets, cap)
+
+
+def test_winners_only_tie_rules():
+    law = Exponential(1.3)
+    first = [lane_mark(law, 9, 0, p, 1) for p in range(20)]
+    # a threshold equal to the first mark is not beaten by it
+    failures, _, win, _ = both_modes(law, 9, 0, np.arange(20), first, 0, None)
+    assert (failures >= 1).all() and (win > first).all()
+    # one just below it is
+    below = np.nextafter(first, 0.0)
+    failures, _, win, _ = both_modes(law, 9, 0, np.arange(20), below, 0, None)
+    assert (failures == 0).all() and win.tolist() == first
+
+
+def test_winners_only_caps_where_the_tail_underflows():
+    law = Exponential(2.0)
+    sizes = np.array([373.0, 1e6, np.inf])  # 2 * 373 > 745: tail(D) is 0
+    assert not law.tail(sizes).any()
+    failures, _, win, capped = both_modes(law, 4, 0, np.arange(3), sizes, 0, 5)
+    assert capped.all() and np.isnan(win).all() and (failures >= 5).all()
+
+
+def test_winners_only_needs_exponential_marks():
+    for law in (Pareto(0.5, 2.0), Weibull(1.0, 0.7)):
+        with pytest.raises(ValueError):
+            first_exceedance(law, 1, 0, [0], [1.0], 0, None, winners_only=True)
+
+
 # -- memory: the scans hold one tile of draws at a time -------------------------
 
 
@@ -290,3 +357,18 @@ def test_scans_draw_at_most_one_tile_per_call(monkeypatch):
     assert marks and len(drawn) > marks
     assert sum(drawn[:marks]) >= np.sum(failures + 1)
     assert max(drawn) <= restart.SCAN_TILE
+
+
+def test_lone_straggler_draws_whole_tiles(monkeypatch):
+    # past MAX_BATCH a lone task's batch keeps doubling, up to one tile
+    drawn = []
+
+    def recording(*words, out=None):
+        drawn.append(np.size(out))
+        return keyed_uniform(*words, out=out)
+
+    keyed_uniform = rng.keyed_uniform
+    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    failures, _, _, capped = first_exceedance(Exponential(1.0), 5, 0, [3], [50.0], 0, 10**5)
+    assert capped[0] and failures[0] == sum(drawn)
+    assert drawn[:4] == [8, 16, 32, 64] and max(drawn) == restart.SCAN_TILE
