@@ -7,16 +7,18 @@ secured.  The first hop secures a checkpoint hit exactly on the boundary
 (inclusive rule); later hops require strict coverage — the two tie rules
 differ only on null sets for continuous laws.
 
-Every engine here is the same two scans: `restart.first_exceedance` finds
-each hop's winning attempt and `covered_checkpoints` walks it forward, both
-vectorized over tasks and run over the row tiles of `restart.scan_rounds`,
-so neither holds more than ``restart.SCAN_TILE`` draws at once.
-`run_checkpoint_iteration` is their draw-by-draw scalar reference,
-returning one `CheckpointIterationRecord`; `run_checkpointing` chases one
-chain through hop maps computed for blocks of points and returns a numpy
-record array, one row per hop; and
-`simulate_hops` runs many replications hop by hop, which is what the
-limit-law and inspection-paradox diagnostics run on.
+Every engine takes its hops from `hop_scan`, one hop from each of many
+points at once: `restart.first_exceedance` finds the winning attempts and
+`covered_checkpoints` walks them forward, both over the row tiles of
+`restart.scan_rounds`, so neither holds more than ``SCAN_TILE`` draws at
+once.  `run_checkpoint_iteration` is its draw-by-draw scalar reference;
+`run_checkpointing` chases one chain through hop maps computed for blocks
+of points and returns a record array, one row per hop; `simulate_hops`
+runs many replications hop by hop, for the limit-law and
+inspection-paradox diagnostics; and `universal.compute_all_kappas` takes
+one hop from every point.  They run on renewal windows, mixture windows
+included, and refuse Markov ones.  The limit-law oracles draw fresh
+renewal sequences through one cover walk, `sample_beta_n`.
 """
 
 from __future__ import annotations
@@ -111,8 +113,30 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
         capped[tasks] = end[tasks] - start[tasks] > scan_cap
         return (add == chunk) & ~capped[tasks]
 
-    scan_rounds(n, 4, step)
+    scan_rounds(n, 4, max(scan_cap, 1), step)
     return end, ideal, capped
+
+
+def hop_scan(d: Distribution, law: Distribution, seed, replication, start, inclusive,
+             attempt_cap=DEFAULT_ATTEMPT_CAP, scan_cap: int = DEFAULT_SCAN_CAP,
+             winners_only: bool = False):
+    """One checkpoint hop from each point of ``start``.
+
+    Hashes each start's size D_start, finds the winning attempt with
+    `restart.first_exceedance` (``winners_only`` is its mode) and walks it
+    forward with `covered_checkpoints`; ``replication`` and ``inclusive``
+    are one value or one per point.  Returns the hop columns ``end``,
+    ``attempts``, ``ideal``, ``actual`` (None with ``winners_only``) and
+    ``overshoot``, as in `CheckpointIterationRecord`, and the attempt-cap
+    and scan-cap flags, which no hop raises for.
+    """
+    d_start = keyed_sizes(d, seed, replication, start)
+    failures, wasted, win, capped = first_exceedance(
+        law, seed, replication, start, d_start, 0, attempt_cap, winners_only)
+    end, ideal, scan_capped = covered_checkpoints(
+        d, seed, replication, start, d_start, win, inclusive, scan_cap)
+    actual = None if wasted is None else wasted + win
+    return [end, failures + 1, ideal, actual, win - d_start], capped, scan_capped
 
 
 def raise_first_capped(points, capped, scan_capped, attempt_cap, scan_cap):
@@ -196,20 +220,13 @@ def run_checkpointing(
     `CheckpointIterationRecord`, and the window extended past the last
     landed checkpoint.
     """
-    if window.kind not in ("renewal", "mixture"):
+    if window.mrp_spec is not None:
         raise ValueError("checkpointing runs on renewal windows")
     d, law = window.size_law, window.mark_law_for(0)
     seed, rep = window.seed, window.replication
 
     def hops(pts, attempt_cap, scan_cap):
-        """Columns end, attempts, ideal, actual, overshoot of the hops from
-        ``pts``, and the two cap flags."""
-        d_start = keyed_sizes(d, seed, rep, pts)
-        failures, wasted, win, capped = first_exceedance(
-            law, seed, rep, pts, d_start, 0, attempt_cap)
-        end, ideal, scan_capped = covered_checkpoints(
-            d, seed, rep, pts, d_start, win, pts == 0, scan_cap)
-        return [end, failures + 1, ideal, wasted + win, win - d_start], capped, scan_capped
+        return hop_scan(d, law, seed, rep, pts, pts == 0, attempt_cap, scan_cap)
 
     spec_cap = SPECULATION_CAP if attempt_cap is None else min(attempt_cap, SPECULATION_CAP)
     chain, parts = [], []  # the visited points; their columns, block by block
@@ -268,20 +285,11 @@ def simulate_hops(
     start = np.zeros(n_reps, dtype=np.int64)
     out = {}
     for hop in range(n_hops):
-        d_start = keyed_sizes(d, seed, reps, start)
-        failures, wasted, win, capped = first_exceedance(
-            l, seed, reps, start, d_start, 0, attempt_cap)
-        end, ideal, scan_capped = covered_checkpoints(
-            d, seed, reps, start, d_start, win, hop == 0, scan_cap)
-        raise_first_capped(start, capped, scan_capped, attempt_cap, scan_cap)
-        out = {
-            "end_index": end,
-            "d_end": keyed_sizes(d, seed, reps, end),
-            "overshoot": win - d_start,
-            "ideal": ideal,
-            "actual": wasted + win,
-            "attempts": failures + 1,
-        }
+        (end, attempts, ideal, actual, overshoot), *flags = hop_scan(
+            d, l, seed, reps, start, hop == 0, attempt_cap, scan_cap)
+        raise_first_capped(start, *flags, attempt_cap, scan_cap)
+        out = dict(end_index=end, d_end=keyed_sizes(d, seed, reps, end), overshoot=overshoot,
+                   ideal=ideal, actual=actual, attempts=attempts)
         start = end
     return out
 
@@ -290,33 +298,29 @@ def simulate_hops(
 # Total-lifetime oracle and the landed-interval law
 
 
-def sample_beta(d: Distribution, t: float, stream) -> float:
-    """Inter-arrival of a fresh renewal sequence covering time ``t``."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    s = 0.0
-    while True:
-        x = d.sample(stream)
-        if s + x >= t:
-            return x
-        s += x
+def sample_beta_n(d: Distribution, ts, stream):
+    """For each cover time t > 0, a fresh renewal sequence from ``stream``:
+    the inter-arrival that covers t (the first whose partial sum reaches
+    it) and how many inter-arrivals came before it.
 
-
-def sample_beta_n(d: Distribution, ts, stream) -> np.ndarray:
-    """Vectorized `sample_beta` over an array of cover times."""
+    Each round draws one inter-arrival for every sequence still short of
+    its time, in the order of ``ts``.
+    """
     ts = np.asarray(ts, dtype=float)
-    out = np.zeros(len(ts))
-    partial = np.zeros(len(ts))
-    active = np.nonzero(ts > 0)[0]
-    if len(active) < len(ts):
+    if not np.all(ts > 0):
         raise ValueError("t must be positive")
+    out = np.zeros(len(ts))
+    before = np.zeros(len(ts), dtype=np.int64)
+    partial = np.zeros(len(ts))
+    active = np.arange(len(ts))
     while len(active):
         draws = np.asarray(d.quantile(stream.uniforms(len(active))), dtype=float)
         covers = partial[active] + draws >= ts[active]
         out[active[covers]] = draws[covers]
         partial[active] += draws
         active = active[~covers]
-    return out
+        before[active] += 1
+    return out, before
 
 
 def sample_first_interval_after_shift(
@@ -338,7 +342,7 @@ def sample_first_interval_after_shift(
         if not isinstance(l, Exponential):
             raise ValueError("the overshoot law shortcut requires exponential marks")
         z = Exponential(l.rate).sample(oracle_stream)
-        return sample_beta(d, z, oracle_stream)
+        return float(sample_beta_n(d, [z], oracle_stream)[0][0])
     out = simulate_hops(d, l, n_hops, seed, 1, first_rep=replication)
     return float(out["d_end"][0])
 
@@ -366,24 +370,17 @@ def estimate_limit_moments(d: Distribution, l: Distribution, n_samples: int, str
     if not isinstance(l, Exponential):
         raise ValueError("limit-law shortcuts require exponential marks")
     z = np.asarray(Exponential(l.rate).quantile(stream.uniforms(n_samples)), dtype=float)
-    d_inf = sample_beta_n(d, z, stream)
+    d_inf, _ = sample_beta_n(d, z, stream)
 
     # tau_inf: geometric attempt count against an independent D_inf draw
     tail = np.asarray(l.tail(d_inf), dtype=float)
     u = stream.uniforms(n_samples)
     tau = np.floor(np.log(u) / np.log1p(-tail)) + 1.0
 
-    # nu_inf: checkpoints covered by the winning overshoot past D_inf
+    # nu_inf: checkpoints covered by the winning overshoot past D_inf, one
+    # more than the inter-arrivals a fresh sequence fits below it
     z2 = np.asarray(Exponential(l.rate).quantile(stream.uniforms(n_samples)), dtype=float)
-    nu = np.ones(n_samples)
-    partial = np.zeros(n_samples)
-    active = np.arange(n_samples)
-    while len(active):
-        draws = np.asarray(d.quantile(stream.uniforms(len(active))), dtype=float)
-        fits = partial[active] + draws < z2[active]
-        nu[active[fits]] += 1.0
-        partial[active] += draws
-        active = active[fits]
+    nu = 1.0 + sample_beta_n(d, z2, stream)[1]
 
     def mse(x):
         return float(np.mean(x)), float(np.std(x) / math.sqrt(len(x)))

@@ -399,7 +399,8 @@ def compare_report(sc: Scenario):
         rows.append(("E[checkpoint time]", _expected_time_dict(etc)["value"],
                      etc.classification.value, None, True))
     else:
-        raise ScenarioError("model", f"no analytic counterpart for {sc.model!r}")
+        raise ScenarioError("model", f"no analytic counterpart for {sc.model!r} "
+                                     f"on a {sc.process_kind!r} process")
     return rows
 
 
@@ -470,6 +471,12 @@ def main(argv=None) -> int:
     except (PathologicalIterationError, cp.ScanCapError, ProcessError) as exc:
         print(f"engine pathology: {exc}", file=sys.stderr)
         return EXIT_ENGINE
+    except ScenarioError as exc:  # e.g. compare on a model with no analytic counterpart
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # e.g. --out names an existing file
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

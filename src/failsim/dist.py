@@ -355,10 +355,6 @@ class TailComparison:
             TailVerdict.EQUAL,
         )
 
-    @property
-    def second_strict_heavier(self) -> bool:
-        return self.verdict is TailVerdict.SECOND_STRICT_HEAVIER
-
 
 def classify_tail(d: Distribution) -> TailClass:
     """Heavy iff e^{gamma t} P[X > t] diverges for every gamma > 0.

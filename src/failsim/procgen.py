@@ -2,7 +2,10 @@
 
 Three generator families: plain renewal, Markov renewal (state-dependent
 size and mark laws per transition), and the two-regime mixture in which a
-single regime draw selects the mark law for the whole replication.
+single regime draw selects the mark law for the whole replication.  There
+are two kinds of window: a window is Markov if and only if it carries its
+``mrp_spec``.  A mixture window is a renewal window whose one mark law is
+its drawn regime's, and it records that ``regime``.
 
 Windows are immutable; extending a window re-derives every inter-arrival
 from the keyed stream, so a longer window is always a prefix-consistent
@@ -41,11 +44,11 @@ class MarkedWindow:
     """Ordered points X_0 = 0 < X_1 < ... with lazy per-point mark streams.
 
     ``law_index[n]`` selects ``mark_laws[law_index[n]]`` as the failure law
-    of point n.  Marks themselves are never materialized here; engines pull
-    them through keyed lanes addressed by (seed, replication, point).
+    of point n in a Markov window; a renewal window has one mark law and no
+    ``law_index``.  Marks themselves are never materialized here; engines
+    pull them through keyed lanes addressed by (seed, replication, point).
     """
 
-    kind: str
     seed: int
     replication: int
     sizes: np.ndarray
@@ -72,31 +75,12 @@ class MarkedWindow:
     def extended(self, n_points: int) -> "MarkedWindow":
         if n_points <= self.n_points:
             return self
-        if self.kind == "renewal":
-            fresh = generate_renewal(
-                self.size_law, n_points, self.seed, self.replication, self.mark_laws[0]
-            )
-            return replace(fresh, regime=self.regime)
-        if self.kind == "mixture":
-            new = generate_renewal(self.size_law, n_points, self.seed, self.replication, None)
-            return replace(
-                self, sizes=new.sizes, law_index=np.zeros(n_points, dtype=np.intp)
-            )
-        if self.kind == "markov":
+        if self.mrp_spec is not None:
             return generate_markov_renewal(self.mrp_spec, n_points, self.seed, self.replication)
-        raise ProcessError(f"cannot extend window of kind {self.kind!r}")
-
-    def size_at(self, index: int) -> float:
-        """Inter-arrival at an arbitrary (possibly negative) index.
-
-        Two-sided access is only defined for renewal-type windows; it backs
-        the boundary-free random-walk model.
-        """
-        if self.kind not in ("renewal", "mixture"):
-            raise ProcessError("two-sided sizes are defined for renewal windows only")
-        if 0 <= index < self.n_points:
-            return float(self.sizes[index])
-        return float(keyed_sizes(self.size_law, self.seed, self.replication, [index])[0])
+        fresh = generate_renewal(
+            self.size_law, n_points, self.seed, self.replication, self.mark_laws[0]
+        )
+        return replace(fresh, regime=self.regime)
 
 
 def keyed_sizes(d: Distribution, seed, replication, points, out=None) -> np.ndarray:
@@ -116,12 +100,10 @@ def generate_renewal(
 ) -> MarkedWindow:
     if n_points < 1:
         raise ProcessError("n_points must be >= 1")
-    sizes = keyed_sizes(d, seed, replication, np.arange(n_points))
     return MarkedWindow(
-        kind="renewal",
         seed=seed,
         replication=replication,
-        sizes=sizes,
+        sizes=keyed_sizes(d, seed, replication, np.arange(n_points)),
         size_law=d,
         mark_laws=(mark_law,),
     )
@@ -135,23 +117,23 @@ def generate_mixture(
     seed: int,
     replication: int = 0,
 ) -> MarkedWindow:
-    """One regime draw per replication selects the mark law for all points."""
+    """One regime draw per replication selects the mark law for all points.
+
+    The window is a one-point renewal window with that mark law and its
+    ``regime``, built here and not through `generate_renewal`, so that one
+    generator call makes one window."""
     if not (0.0 < p0 <= 1.0):
         raise ProcessError("p0 must lie in (0, 1]")
     u = float(rng.keyed_uniform(seed, replication, rng.DOMAIN_REGIME, 0))
     regime = 0 if u < p0 else 1
-    sizes = keyed_sizes(d, seed, replication, np.arange(1))
-    win = MarkedWindow(
-        kind="mixture",
+    return MarkedWindow(
         seed=seed,
         replication=replication,
-        sizes=sizes,
+        sizes=keyed_sizes(d, seed, replication, np.arange(1)),
         size_law=d,
         mark_laws=(l0 if regime == 0 else l1,),
-        law_index=np.zeros(1, dtype=np.intp),
         regime=regime,
     )
-    return win
 
 
 @dataclass(frozen=True)
@@ -318,7 +300,6 @@ def generate_markov_renewal(
             sizes[sel] = np.asarray(spec.size_laws[pr].quantile(u[sel]), dtype=float)
 
     return MarkedWindow(
-        kind="markov",
         seed=seed,
         replication=replication,
         sizes=sizes,

@@ -106,14 +106,17 @@ def _reaches_cap(failures, attempt_cap):
     return np.asarray(failures) >= max(attempt_cap, 1)
 
 
-def scan_rounds(n, first_batch, step):
+def scan_rounds(n, first_batch, cap, step):
     """Run the rounds of a scan over ``n`` tasks, in row tiles.
 
     Round r gives every still active task a batch of ``first_batch * 2**r``
     draws, at most MAX_BATCH, or at most one tile's share when fewer than
     SCAN_TILE // MAX_BATCH tasks remain, so that stragglers draw whole
-    tiles.  Its tasks are cut into tiles of at most SCAN_TILE values (one
-    task at least), and ``step(tasks, keys, u, flags)`` handles one tile:
+    tiles.  Every active task has drawn the same number of values, and a
+    batch is cut to what is left of ``cap`` (None for no cap), by which
+    ``step`` has stopped every task.  Its tasks are cut into tiles of at
+    most SCAN_TILE values (one task at least), and ``step(tasks, keys, u,
+    flags)`` handles one tile:
     ``tasks`` are task indices, and ``keys`` (int64), ``u`` (float64) and
     ``flags`` (bool) are (tasks, batch) work arrays, views of buffers made
     once per scan and reused by every tile.  ``step`` returns which of its
@@ -122,8 +125,11 @@ def scan_rounds(n, first_batch, step):
     size = max(SCAN_TILE, MAX_BATCH)
     buffers = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size, dtype=bool)
     active = np.arange(n)
-    batch = first_batch
+    batch, drawn = first_batch, 0
     while len(active):
+        if cap is not None:
+            batch = min(batch, cap - drawn)
+        drawn += batch
         rows = max(SCAN_TILE // batch, 1)
         keep = np.empty(len(active), dtype=bool)
         for lo in range(0, len(active), rows):
@@ -217,7 +223,7 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
         win[tasks] = np.where(hit & ~capped[tasks], won, np.nan)
         return ~hit & ~capped[tasks]
 
-    scan_rounds(n, 8, step)
+    scan_rounds(n, 8, None if attempt_cap is None else max(attempt_cap, 1), step)
     return failures, wasted, win, capped
 
 
@@ -303,7 +309,6 @@ def run_restart(
     window: MarkedWindow,
     n_iterations: int,
     attempt_cap=DEFAULT_ATTEMPT_CAP,
-    approx_threshold: float = APPROX_ATTEMPTS_THRESHOLD,
 ) -> np.recarray:
     """Restart every inter-arrival of the window in sequence.
 
@@ -327,7 +332,7 @@ def run_restart(
         sel = np.nonzero(law_index == t)[0]
         failures[sel], actual[sel], approximated[sel] = simulate_restart_at_points(
             sizes[sel], sel, window.mark_laws[t], window.seed, window.replication,
-            attempt_cap=attempt_cap, approx_threshold=approx_threshold,
+            attempt_cap=attempt_cap,
         )
     if np.any(actual < sizes):
         raise ValueError("actual time cannot be below ideal time")

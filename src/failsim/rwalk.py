@@ -25,7 +25,6 @@ from . import rng
 from .dist import Distribution
 from .procgen import MarkedWindow, keyed_sizes
 from .restart import (
-    APPROX_ATTEMPTS_THRESHOLD,
     DEFAULT_ATTEMPT_CAP,
     EfficiencyEstimate,
     efficiency_from_sums,
@@ -66,14 +65,13 @@ def simulate_walk(p: float, n_steps: int, seed: int, replication: int = 0,
     return np.where(u < p, -1, 1).astype(np.int64)
 
 
-def _walk_to_level(p: float, n_levels: int, seed: int, replication: int,
-                   max_steps: int | None = None) -> WalkTrace:
+def _walk_to_level(p: float, n_levels: int, seed: int, replication: int) -> WalkTrace:
     """Extend the walk until it first reaches ``n_levels``."""
     chunks = []
     pos = 0
     top = 0
     k = 1
-    limit = max_steps or int(200 * n_levels / max(1.0 - 2.0 * p, 1e-9))
+    limit = int(200 * n_levels / max(1.0 - 2.0 * p, 1e-9))
     while top < n_levels:
         n = min(max(n_levels, 4096), limit - (k - 1))
         if n <= 0:
@@ -99,7 +97,6 @@ def simulate_walk_restart(
     p: float,
     n_tasks: int,
     attempt_cap=DEFAULT_ATTEMPT_CAP,
-    approx_threshold: float = APPROX_ATTEMPTS_THRESHOLD,
 ) -> WalkRun:
     """Walk until ``n_tasks`` levels are complete, restarting the task at the
     current offset on every visit.
@@ -112,7 +109,7 @@ def simulate_walk_restart(
     ``level``, ``ideal`` (its size), ``actual`` (the time of the steps
     from the first passage to that level to the next) and ``n_visits``.
     """
-    if window.kind not in ("renewal", "mixture"):
+    if window.mrp_spec is not None:
         raise ValueError("walk restart needs a renewal-type (two-sided) window")
     d, seed, rep = window.size_law, window.seed, window.replication
     trace = _walk_to_level(p, n_tasks, seed, rep)
@@ -129,8 +126,7 @@ def simulate_walk_restart(
 
     _, actual, _ = simulate_restart_at_points(
         keyed_sizes(d, seed, rep, tasks), tasks, law, seed, rep,
-        attempt_cap=attempt_cap, approx_threshold=approx_threshold,
-        attempt_offsets=ordinal * VISIT_STRIDE,
+        attempt_cap=attempt_cap, attempt_offsets=ordinal * VISIT_STRIDE,
     )
 
     # block n: steps between first passage to n and first passage to n+1

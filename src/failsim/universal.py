@@ -1,9 +1,10 @@
 """Universal-checkpoint detection for exponential failure marks.
 
 Every point n has a single-hop target kappa_n: the furthest point covered
-by its winning attempt.  The count N_n of earlier points whose hop jumps
-past n is, for exponential marks, a Markov chain; points with N_n = 0 are
-universal — every trajectory started earlier passes through them.
+by its winning attempt, taken by one `checkpoint.hop_scan` from every
+point.  The count N_n of earlier points whose hop jumps past n is, for
+exponential marks, a Markov chain; points with N_n = 0 are universal —
+every trajectory started earlier passes through them.
 
 The transition kernel used here is Binomial(k + 1, e^{-lambda t}) mixed
 over the inter-arrival law: the k pending trajectories and the hop
@@ -37,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .checkpoint import DEFAULT_SCAN_CAP, covered_checkpoints, raise_first_capped
+from .checkpoint import DEFAULT_SCAN_CAP, hop_scan, raise_first_capped
 from .dist import Distribution, Exponential
-from .procgen import MarkedWindow, keyed_sizes, stationary_law
-from .restart import DEFAULT_ATTEMPT_CAP, first_exceedance
+from .procgen import MarkedWindow, stationary_law
+from .restart import DEFAULT_ATTEMPT_CAP
 
 
 class MarkLawError(ValueError):
@@ -71,24 +72,21 @@ def compute_all_kappas(
 ) -> np.ndarray:
     """kappa for points 0..n_points-1 of a renewal window.
 
-    The checkpoint engine's two scans over every point at once, the mark
-    scan in its winners-only mode, with the inclusive rule: kappa_n is the
-    largest k with X_k - X_n <= the winning mark, the ``end_index`` of
-    ``run_checkpoint_iteration(window, n, inclusive=True)``.  Raises as
-    that walk does at the first point that reaches ``attempt_cap`` or
-    ``scan_cap``.
+    One `checkpoint.hop_scan` from every point at once, its mark scan in the
+    winners-only mode, with the inclusive rule: kappa_n is the largest k
+    with X_k - X_n <= the winning mark, the ``end_index`` of
+    ``run_checkpoint_iteration(window, n, inclusive=True)``.  A mixture
+    window is a renewal window with its regime's mark law; a Markov window
+    is refused.  Raises as that walk does at the first point that reaches
+    ``attempt_cap`` or ``scan_cap``.
     """
-    if window.kind != "renewal":
+    if window.mrp_spec is not None:
         raise ValueError("kappa computation runs on renewal windows")
     law = _require_exponential(window.mark_law_for(0))
-    seed, rep = window.seed, window.replication
     pts = np.arange(n_points, dtype=np.int64)
-    d_start = keyed_sizes(window.size_law, seed, rep, pts)
-    _, _, win, capped = first_exceedance(law, seed, rep, pts, d_start, 0, attempt_cap,
-                                          winners_only=True)
-    kappa, _, scan_capped = covered_checkpoints(
-        window.size_law, seed, rep, pts, d_start, win, True, scan_cap)
-    raise_first_capped(pts, capped, scan_capped, attempt_cap, scan_cap)
+    (kappa, *_), *flags = hop_scan(window.size_law, law, window.seed, window.replication,
+                                   pts, True, attempt_cap, scan_cap, winners_only=True)
+    raise_first_capped(pts, *flags, attempt_cap, scan_cap)
     return kappa
 
 
@@ -264,11 +262,11 @@ def stationary_n_distribution(d: Distribution, lam: float, truncation: int = 200
     return stationary_law(p / p.sum(axis=1, keepdims=True))
 
 
-def universal_growth(nproc: NProcess, n_segments: int = 20):
-    """Cumulative universal-checkpoint count vs window length, with a
+def universal_growth(nproc: NProcess):
+    """Cumulative universal-checkpoint count at 20 window lengths, with a
     least-squares linear fit (slope, intercept, r_squared)."""
     span = len(nproc.values)
-    xs = np.linspace(span / n_segments, span, n_segments).astype(int)
+    xs = np.linspace(span / 20, span, 20).astype(int)
     counts = np.searchsorted(nproc.universal_indices - nproc.first_index, xs)
     slope, intercept = np.polyfit(xs, counts, 1)
     pred = slope * xs + intercept

@@ -98,9 +98,31 @@ def test_beta_sampler_matches_length_biased_limit():
     # far from the origin, the covering interval of a Poisson process is
     # the length-biased interval: Gamma(shape 2)
     stream = CounterStream(seed=44)
-    xs = sample_beta_n(Exponential(1.0), np.full(20_000, 50.0), stream)
+    xs, _ = sample_beta_n(Exponential(1.0), np.full(20_000, 50.0), stream)
     res = stats.kstest(xs, stats.gamma(2).cdf)
     assert res.pvalue > 0.01
+
+
+def cover_reference(d, t, stream):
+    """One fresh renewal sequence over ``t``, one draw at a time: the
+    covering inter-arrival and how many came before it."""
+    s, before = 0.0, 0
+    while True:
+        x = d.sample(stream)
+        if s + x >= t:
+            return x, before
+        s += x
+        before += 1
+
+
+@pytest.mark.parametrize("d", [Exponential(1.0), Pareto(1.0, 2.5)], ids=str)
+def test_cover_walk_matches_one_draw_at_a_time(d):
+    ts = [0.01, 0.5, 3.0, 40.0]
+    for seed, t in enumerate(ts):
+        got, before = sample_beta_n(d, [t], CounterStream(seed=seed))
+        assert (got[0], before[0]) == cover_reference(d, t, CounterStream(seed=seed))
+    with pytest.raises(ValueError):
+        sample_beta_n(d, [1.0, 0.0], CounterStream(seed=8))
 
 
 def test_landed_interval_engine_vs_oracle():

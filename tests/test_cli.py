@@ -164,6 +164,31 @@ def test_process_error_exit_code(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in err
 
 
+def test_compare_without_analytic_counterpart_is_a_validation_error(capsys):
+    path = str(SCENARIOS / "mixture_regimes.yaml")
+    assert main(["compare", path, "--override", "N=2000"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no analytic counterpart" in err
+    assert "Traceback" not in err
+
+
+def test_run_into_an_existing_file_is_a_validation_error(tmp_path, capsys):
+    path = write_yaml(tmp_path / "s.yaml", small_restart_doc(n=100))
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("example", sorted(p.name for p in SCENARIOS.glob("*.yaml")))
+def test_compare_on_every_example_ends_with_a_documented_exit_code(example, capsys):
+    code = main(["compare", str(SCENARIOS / example), "--override", "N=2000"])
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_ENGINE)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_compare_runs(tmp_path, capsys):
     path = write_yaml(tmp_path / "s.yaml", small_restart_doc())
     assert main(["compare", path]) == EXIT_OK

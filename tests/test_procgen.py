@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from failsim import procgen, rng
+from failsim.checkpoint import run_checkpointing
 from failsim.dist import (
     BoundedSupportError,
     Deterministic,
@@ -23,6 +24,9 @@ from failsim.procgen import (
     keyed_sizes,
     markov_states,
 )
+from failsim.restart import run_restart
+from failsim.rwalk import simulate_walk_restart
+from failsim.universal import compute_all_kappas
 
 
 def test_renewal_window_basic():
@@ -57,12 +61,12 @@ def test_extended_is_prefix_stable():
     assert np.array_equal(np.asarray(big.sizes)[:100], np.asarray(w.sizes))
 
 
-def test_size_at_matches_keyed_sizes_in_bulk():
-    # two-sided sizes of a Pareto window, one at a time and all at once
-    w = generate_renewal(Pareto(1.0, 2.0), 1, seed=3)
+def test_keyed_sizes_one_at_a_time_match_bulk():
+    # two-sided sizes of a Pareto law, one index at a time and all at once
+    d = Pareto(1.0, 2.0)
     idx = np.arange(-2000, 0)
-    bulk = keyed_sizes(w.size_law, 3, 0, idx)
-    assert [w.size_at(int(i)) for i in idx] == bulk.tolist()
+    bulk = keyed_sizes(d, 3, 0, idx)
+    assert [float(keyed_sizes(d, 3, 0, [i])[0]) for i in idx] == bulk.tolist()
 
 
 def test_renewal_empirical_mean():
@@ -90,6 +94,37 @@ def test_mixture_mark_law_follows_regime():
     for r in range(6):
         w = generate_mixture(Exponential(1.0), l0, l1, 0.5, seed=2, replication=r)
         assert w.mark_law_for(0) is (l0 if w.regime == 0 else l1)
+
+
+def test_mixture_window_is_its_regimes_renewal_window():
+    d, l0, l1 = Exponential(1.0), Exponential(1.0), Exponential(0.5)
+    regimes = set()
+    for rep in range(6):
+        mix = generate_mixture(d, l0, l1, 0.5, seed=19, replication=rep)
+        law = l0 if mix.regime == 0 else l1
+        plain = generate_renewal(d, 1, 19, rep, law)
+        regimes.add(mix.regime)
+        assert mix.sizes.tolist() == plain.sizes.tolist()
+        assert mix.mark_laws == (law,) and mix.law_index is None and mix.mrp_spec is None
+        big = mix.extended(500)
+        assert big.sizes.tolist() == plain.extended(500).sizes.tolist()
+        assert big.mark_laws == (law,) and big.regime == mix.regime
+        assert run_restart(mix, 500).tolist() == run_restart(plain, 500).tolist()
+        assert (run_checkpointing(mix, 100)[0].tolist()
+                == run_checkpointing(plain, 100)[0].tolist())
+        assert compute_all_kappas(mix, 200).tolist() == compute_all_kappas(plain, 200).tolist()
+    assert regimes == {0, 1}
+
+
+@pytest.mark.parametrize("engine", [
+    lambda w: run_checkpointing(w, 10),
+    lambda w: simulate_walk_restart(w, 0.25, 10),
+    lambda w: compute_all_kappas(w, 10),
+], ids=["run_checkpointing", "simulate_walk_restart", "compute_all_kappas"])
+def test_engines_refuse_a_markov_window(engine):
+    w = generate_markov_renewal(alternating_spec(), 20, seed=3)
+    with pytest.raises(ValueError, match="renewal"):
+        engine(w)
 
 
 def alternating_spec():

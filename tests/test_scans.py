@@ -372,3 +372,27 @@ def test_lone_straggler_draws_whole_tiles(monkeypatch):
     failures, _, _, capped = first_exceedance(Exponential(1.0), 5, 0, [3], [50.0], 0, 10**5)
     assert capped[0] and failures[0] == sum(drawn)
     assert drawn[:4] == [8, 16, 32, 64] and max(drawn) == restart.SCAN_TILE
+
+
+@pytest.mark.parametrize("winners_only", [False, True])
+def test_capped_scans_stop_at_the_cap(monkeypatch, winners_only):
+    # every active task of a scan has drawn as many values as the others, so
+    # its last batch is cut to what is left of the cap: a lone exp(1) task
+    # that cannot beat 50 draws exactly 10**6 marks, and a winning mark of
+    # inf covers exactly scan_cap checkpoints before it is flagged
+    drawn = []
+
+    def recording(*words, out=None):
+        drawn.append(np.size(out))
+        return keyed_uniform(*words, out=out)
+
+    keyed_uniform = rng.keyed_uniform
+    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    failures, _, win, capped = first_exceedance(Exponential(1.0), 5, 0, [3], [50.0], 0,
+                                                10**6, winners_only=winners_only)
+    assert capped[0] and np.isnan(win[0])
+    assert failures[0] == 10**6 and sum(drawn) == 10**6
+    drawn.clear()
+    end, _, capped = covered_checkpoints(Exponential(1.0), 5, 0, [3], [1.0], np.array([np.inf]),
+                                         False, 1000)
+    assert capped[0] and end[0] == 3 + 1 + 1000 and sum(drawn) == 1000
