@@ -80,8 +80,8 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
     """Walk each task's winning mark forward from its checkpoint.
 
     Task k has covered ``d_start[k]`` on reaching checkpoint start[k] + 1;
-    the keyed sizes after it are added one at a time, in chunks of 4,
-    doubling, over the row tiles of `scan_rounds`, while the
+    the keyed sizes after it are added one at a time, in chunks of 4 and
+    then of the sizes `scan_rounds` sets, over its row tiles, while the
     running sum stays below ``win[k]`` (or at most ``win[k]`` where
     ``inclusive[k]``).  ``replication`` and ``inclusive`` are one value or
     one per task.  Returns per task the landed checkpoint, X_end - X_start
@@ -269,7 +269,6 @@ def simulate_hops(
     n_hops: int,
     seed: int,
     n_reps: int,
-    first_rep: int = 0,
     attempt_cap=DEFAULT_ATTEMPT_CAP,
     scan_cap: int = DEFAULT_SCAN_CAP,
 ):
@@ -281,17 +280,17 @@ def simulate_hops(
     (inter-arrival at the landed checkpoint), ``overshoot``, ``ideal``,
     ``actual``, ``attempts``.
     """
-    reps = np.arange(first_rep, first_rep + n_reps, dtype=np.int64)
+    if n_hops < 1:
+        raise ValueError("simulate_hops needs at least one hop")
+    reps = np.arange(n_reps, dtype=np.int64)
     start = np.zeros(n_reps, dtype=np.int64)
-    out = {}
     for hop in range(n_hops):
-        (end, attempts, ideal, actual, overshoot), *flags = hop_scan(
-            d, l, seed, reps, start, hop == 0, attempt_cap, scan_cap)
+        cols, *flags = hop_scan(d, l, seed, reps, start, hop == 0, attempt_cap, scan_cap)
         raise_first_capped(start, *flags, attempt_cap, scan_cap)
-        out = dict(end_index=end, d_end=keyed_sizes(d, seed, reps, end), overshoot=overshoot,
-                   ideal=ideal, actual=actual, attempts=attempts)
-        start = end
-    return out
+        start = cols[0]
+    end, attempts, ideal, actual, overshoot = cols
+    return dict(end_index=end, d_end=keyed_sizes(d, seed, reps, end), overshoot=overshoot,
+                ideal=ideal, actual=actual, attempts=attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +320,6 @@ def sample_beta_n(d: Distribution, ts, stream):
         active = active[~covers]
         before[active] += 1
     return out, before
-
-
-def sample_first_interval_after_shift(
-    d: Distribution,
-    l: Distribution,
-    n_hops: int,
-    seed: int,
-    replication: int = 0,
-    oracle_stream=None,
-):
-    """Inter-arrival at the checkpoint landed after ``n_hops`` hops.
-
-    With ``oracle_stream`` set the engine is bypassed: the overshoot is
-    drawn from its known law (exponential marks: exp(rate)) and pushed
-    through the total-lifetime construction, giving an independent oracle
-    for the same law.
-    """
-    if oracle_stream is not None:
-        if not isinstance(l, Exponential):
-            raise ValueError("the overshoot law shortcut requires exponential marks")
-        z = Exponential(l.rate).sample(oracle_stream)
-        return float(sample_beta_n(d, [z], oracle_stream)[0][0])
-    out = simulate_hops(d, l, n_hops, seed, 1, first_rep=replication)
-    return float(out["d_end"][0])
 
 
 def checkpoint_efficiency(records, tolerance: float = 0.01, burn_in: int | None = None):

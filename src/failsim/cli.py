@@ -85,6 +85,12 @@ def _mean_se(xs):
     return float(np.mean(xs)), se
 
 
+def _estimate(xs: list):
+    """Mean, standard error and per-replication values: one summary estimate."""
+    mean, se = _mean_se(xs)
+    return {"mean": mean, "se": se, "per_rep": xs}
+
+
 def _est_dict(e: rs.EfficiencyEstimate):
     return {
         "ratio": e.ratio,
@@ -121,9 +127,7 @@ def _run_restart(sc: Scenario):
             [records.n, records.ideal, records.failures, records.actual, states, [regime] * n],
         ))
         curves.append(_ratio_curve(records, sc.curve_points))
-    ratios = [p["ratio"] for p in per_rep]
-    mean, se = _mean_se(ratios)
-    estimates = {"efficiency": {"mean": mean, "se": se, "per_rep": ratios}}
+    estimates = {"efficiency": _estimate([p["ratio"] for p in per_rep])}
     diagnostics = {"trends": [p["trend"] for p in per_rep],
                    "converged": [p["converged"] for p in per_rep]}
     return per_rep, estimates, diagnostics, traces, curves
@@ -147,12 +151,9 @@ def _run_checkpoint(sc: Scenario):
         per_rep.append(entry)
         traces.append((records.dtype.names, [records[f] for f in records.dtype.names]))
         curves.append(_ratio_curve(records, sc.curve_points))
-    ratios = [p["ratio"] for p in per_rep]
-    mean, se = _mean_se(ratios)
-    estimates = {"efficiency": {"mean": mean, "se": se, "per_rep": ratios}}
+    estimates = {"efficiency": _estimate([p["ratio"] for p in per_rep])}
     if companions:
-        cmean, cse = _mean_se(companions)
-        estimates["burn_in_companion"] = {"mean": cmean, "se": cse, "per_rep": companions}
+        estimates["burn_in_companion"] = _estimate(companions)
     diagnostics = {"trends": [p["trend"] for p in per_rep],
                    "converged": [p["converged"] for p in per_rep]}
     return per_rep, estimates, diagnostics, traces, curves
@@ -194,9 +195,7 @@ def _run_universal(sc: Scenario):
         grid = _curve_grid(span, sc.curve_points)
         cum = np.cumsum(vals == 0)
         curves.append([(int(k), int(cum[k - 1])) for k in grid])
-    densities = [p["universal_density"] for p in per_rep]
-    mean, se = _mean_se(densities)
-    estimates = {"universal_density": {"mean": mean, "se": se, "per_rep": densities}}
+    estimates = {"universal_density": _estimate([p["universal_density"] for p in per_rep])}
     diagnostics = {
         "analytic_kernel": kernel_rows,
         "boundary_ok": [p["boundary_ok"] for p in per_rep],
@@ -241,10 +240,8 @@ def _run_rwalk(sc: Scenario):
     formula = [p["formula_ratio"] for p in per_rep if "formula_ratio" in p]
     estimates = {}
     if direct:
-        dm, dse = _mean_se(direct)
-        fm, fse = _mean_se(formula)
-        estimates["direct_efficiency"] = {"mean": dm, "se": dse, "per_rep": direct}
-        estimates["formula_efficiency"] = {"mean": fm, "se": fse, "per_rep": formula}
+        estimates["direct_efficiency"] = _estimate(direct)
+        estimates["formula_efficiency"] = _estimate(formula)
     estimates["gamma"] = {"mean": consts["gamma"][0], "se": consts["gamma"][1]}
     estimates["rho"] = {"mean": consts["rho"][0], "se": consts["rho"][1]}
     diagnostics = {

@@ -3,12 +3,13 @@
 A task of size D is attempted until the first failure mark strictly exceeds
 it; failed attempts cost their full mark.  `first_exceedance` is that
 search, vectorized over tasks; the restart, checkpoint and hop-map engines
-all run on it.  It runs in rounds of batches, and `scan_rounds` cuts each
-round's tasks into row tiles of at most SCAN_TILE draws over work buffers
-made once per scan, so the scan's memory is bounded by the tile and its
-arrays stay in cache; the checkpoint coverage scan runs on the same
-tiles.  Tasks whose expected attempt count is enormous take a
-distributionally equivalent shortcut (geometric attempt count plus a
+all run on it.  It runs in rounds of batches, each twice the last up to
+the active tasks' share of one tile, and `scan_rounds` cuts each round's
+tasks into row tiles of at most SCAN_TILE draws over work buffers made
+once per scan, so the scan's memory is bounded by the tile and its arrays
+stay in cache; the checkpoint coverage scan runs on the same tiles.
+Tasks whose expected attempt count is enormous (APPROX_ATTEMPTS_THRESHOLD)
+take a distributionally equivalent shortcut (geometric attempt count plus a
 Gaussian total for the failed attempts) so heavy-tailed sizes stay
 tractable.  `run_restart` returns a numpy record array, one row per task,
 and `efficiency` reads its ``ideal`` and ``actual`` columns;
@@ -32,10 +33,6 @@ from .procgen import SCAN_TILE, MarkedWindow, MarkovRenewalSpec
 DEFAULT_ATTEMPT_CAP = 1_000_000_000
 # Expected attempts above this use the geometric/Gaussian shortcut.
 APPROX_ATTEMPTS_THRESHOLD = 1e5
-# The scans draw at most MAX_BATCH values per task and round, or a tile's
-# share once fewer tasks are left than fill a tile, and hold at most
-# SCAN_TILE (`procgen.SCAN_TILE`) of them at once.
-MAX_BATCH = 4096
 
 
 class PathologicalIterationError(RuntimeError):
@@ -109,21 +106,20 @@ def _reaches_cap(failures, attempt_cap):
 def scan_rounds(n, first_batch, cap, step):
     """Run the rounds of a scan over ``n`` tasks, in row tiles.
 
-    Round r gives every still active task a batch of ``first_batch * 2**r``
-    draws, at most MAX_BATCH, or at most one tile's share when fewer than
-    SCAN_TILE // MAX_BATCH tasks remain, so that stragglers draw whole
-    tiles.  Every active task has drawn the same number of values, and a
-    batch is cut to what is left of ``cap`` (None for no cap), by which
-    ``step`` has stopped every task.  Its tasks are cut into tiles of at
-    most SCAN_TILE values (one task at least), and ``step(tasks, keys, u,
-    flags)`` handles one tile:
+    The first round gives every task ``first_batch`` draws; each later
+    round doubles the batch, up to the active tasks' share of one tile
+    (``first_batch`` at least), so that stragglers draw whole tiles.  Every
+    active task has drawn the same number of values, and a batch is cut to
+    what is left of ``cap`` (None for no cap), by which ``step`` has
+    stopped every task.  Its tasks are cut into tiles of at most SCAN_TILE
+    values (one task at least), and ``step(tasks, keys, u, flags)`` handles
+    one tile:
     ``tasks`` are task indices, and ``keys`` (int64), ``u`` (float64) and
     ``flags`` (bool) are (tasks, batch) work arrays, views of buffers made
     once per scan and reused by every tile.  ``step`` returns which of its
     tasks stay active.
     """
-    size = max(SCAN_TILE, MAX_BATCH)
-    buffers = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size, dtype=bool)
+    buffers = [np.empty(SCAN_TILE, dtype=t) for t in (np.int64, float, bool)]
     active = np.arange(n)
     batch, drawn = first_batch, 0
     while len(active):
@@ -138,7 +134,7 @@ def scan_rounds(n, first_batch, cap, step):
             views = (buf[:len(tasks) * batch].reshape(shape) for buf in buffers)
             keep[lo:lo + rows] = step(tasks, *views)
         active = active[keep]
-        batch = min(batch * 2, max(MAX_BATCH, SCAN_TILE // max(len(active), 1)))
+        batch = min(2 * batch, max(first_batch, SCAN_TILE // max(len(active), 1)))
 
 
 def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
@@ -262,7 +258,6 @@ def simulate_restart_at_points(
     seed: int,
     replication: int = 0,
     attempt_cap=DEFAULT_ATTEMPT_CAP,
-    approx_threshold: float = APPROX_ATTEMPTS_THRESHOLD,
     attempt_offsets=None,
 ):
     """Vectorized restart for tasks at explicit point indices.
@@ -286,7 +281,7 @@ def simulate_restart_at_points(
 
     with np.errstate(divide="ignore", over="ignore"):
         expected_attempts = 1.0 / np.asarray(law.tail(sizes), dtype=float)
-    approximated = expected_attempts > approx_threshold
+    approximated = expected_attempts > APPROX_ATTEMPTS_THRESHOLD
     heavy = np.nonzero(approximated)[0]
     if len(heavy):
         failures[heavy], actual[heavy] = _approx_tasks(

@@ -33,6 +33,8 @@ from .restart import (
 
 # visit ordinals address disjoint attempt ranges of a task's mark lane
 VISIT_STRIDE = 2**32
+# `estimate_walk_constants` draws this many steps of every walk at a time
+WALK_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def walk_constants(p: float):
 
 
 def estimate_walk_constants(p: float, seed: int, n_walks: int = 2000,
-                            horizon: int = 10_000, chunk: int = 512):
+                            horizon: int = 10_000):
     """Monte Carlo gamma (never below 0) and rho (expected visits to 0).
 
     Long-horizon frequencies; the horizon truncation biases gamma up and
@@ -241,7 +243,7 @@ def estimate_walk_constants(p: float, seed: int, n_walks: int = 2000,
     visits = np.ones(n_walks, dtype=np.int64)  # the walk starts at 0
     k = 1
     while k <= horizon:
-        n = min(chunk, horizon - k + 1)
+        n = min(WALK_CHUNK, horizon - k + 1)
         u = rng.keyed_uniform(seed, reps[:, None], rng.DOMAIN_WALK,
                               np.arange(k, k + n)[None, :])
         xi = np.where(u < p, -1, 1)

@@ -131,12 +131,8 @@ def _build_mrp(proc: dict) -> MarkovRenewalSpec:
         raise ScenarioError("process", str(exc)) from exc
 
 
-def load_scenario(path_or_doc) -> Scenario:
-    if isinstance(path_or_doc, dict):
-        doc = path_or_doc
-    else:
-        with open(path_or_doc) as fh:
-            doc = yaml.safe_load(fh)
+def load_scenario(doc: dict) -> Scenario:
+    """Validate a scenario document (a parsed YAML mapping) into a `Scenario`."""
     if not isinstance(doc, dict):
         raise ScenarioError("<document>", "scenario must be a mapping")
 
@@ -200,30 +196,23 @@ def load_scenario(path_or_doc) -> Scenario:
 
 
 def _validate_model(sc: Scenario) -> None:
+    if sc.model != "restart" and sc.process_kind != "renewal":
+        raise ScenarioError("process.kind", f"model {sc.model!r} requires a renewal process")
     if sc.model == "universal":
-        if sc.process_kind != "renewal":
-            raise ScenarioError("process.kind", "model 'universal' requires a renewal process")
         if not isinstance(sc.mark_law, Exponential):
             raise ScenarioError(
                 "marks", "model 'universal' requires exponential marks (memorylessness)"
             )
         if sc.lookback >= sc.iterations:
             raise ScenarioError("run.lookback", "must be smaller than run.iterations")
-    if sc.model == "checkpoint" and sc.process_kind != "renewal":
-        raise ScenarioError("process.kind", "model 'checkpoint' requires a renewal process")
-    if sc.model == "rwalk" and sc.process_kind != "renewal":
-        raise ScenarioError("process.kind", "model 'rwalk' requires a renewal process")
-    if sc.model == "analytic" and sc.process_kind != "renewal":
-        raise ScenarioError("process.kind", "model 'analytic' requires a renewal process")
-    if sc.model in ("restart", "checkpoint", "rwalk", "analytic"):
-        if sc.process_kind == "renewal":
-            for pathname, law in (("process.size", sc.size_law), ("marks", sc.mark_law)):
-                if not law.unbounded:
-                    raise ScenarioError(pathname, "law must have right-unbounded support")
-                try:
-                    law.mean()
-                except DistributionError as exc:
-                    raise ScenarioError(pathname, str(exc)) from exc
+    elif sc.process_kind == "renewal":
+        for pathname, law in (("process.size", sc.size_law), ("marks", sc.mark_law)):
+            if not law.unbounded:
+                raise ScenarioError(pathname, "law must have right-unbounded support")
+            try:
+                law.mean()
+            except DistributionError as exc:
+                raise ScenarioError(pathname, str(exc)) from exc
 
 
 def apply_overrides(doc: dict, overrides) -> dict:

@@ -26,8 +26,8 @@ nodes of a double-exponential rule on (0, 1), and each row's binomial pmf
 is contracted with the weights of steps h and h/2.  pi P = pi is then
 solved directly, for both steps.
 The largest difference between the two laws is the error estimate; when it
-is not below ``tol`` the kernel is rebuilt from ``kernel_row``, one scalar
-adaptive quadrature per entry.
+is not below ``STATIONARY_TOL`` the kernel is rebuilt from ``kernel_row``,
+one scalar adaptive quadrature per entry.
 """
 
 from __future__ import annotations
@@ -203,6 +203,9 @@ def kernel_row(d: Distribution, lam: float, k: int) -> np.ndarray:
 # within 2.3e-16 of 0 and 1, so the dropped weight is below double rounding.
 _TS_SPAN = 3.15
 _TS_STEPS = 128  # the fine rule has 2 * 128 + 1 = 257 nodes, the coarse one 129
+# Largest difference between the fine and coarse stationary laws that
+# `stationary_n_distribution` accepts before it falls back to `kernel_row`.
+STATIONARY_TOL = 1e-12
 
 
 def _tanh_sinh_rule():
@@ -217,15 +220,14 @@ def _tanh_sinh_rule():
     return nodes, np.stack([fine, coarse], axis=1)
 
 
-def stationary_n_distribution(d: Distribution, lam: float, truncation: int = 200,
-                              tol: float = 1e-12) -> np.ndarray:
+def stationary_n_distribution(d: Distribution, lam: float, truncation: int = 200) -> np.ndarray:
     """Stationary law of the N-chain on states 0..truncation-1.
 
-    For exponential sizes the kernel is the closed form and ``tol`` is
-    unused.  Otherwise kernel entry (k, j) is the integral over w in (0, 1)
-    of the Binomial(k + 1, s) pmf at j, with s = exp(-lam Q(w)) and Q the
-    size quantile; see the module docstring for the quadrature, the error
-    estimate and the ``tol`` fallback.  The pmf is taken in log space, one
+    For exponential sizes the kernel is the closed form.  Otherwise kernel
+    entry (k, j) is the integral over w in (0, 1) of the Binomial(k + 1, s)
+    pmf at j, with s = exp(-lam Q(w)) and Q the size quantile; see the
+    module docstring for the quadrature, the error estimate and the
+    ``STATIONARY_TOL`` fallback.  The pmf is taken in log space, one
     row at a time, from outer products of j and k + 1 - j with log s and
     log(1 - s); the j = 0 and j = k + 1 terms are set on their own, so
     that s = 0 and s = 1 stay finite.
@@ -253,7 +255,7 @@ def stationary_n_distribution(d: Distribution, lam: float, truncation: int = 200
             log_pmf[k + 1] = log_comb[k + 1] + (k + 1) * log_s
         p[:, k, : len(j)] = (np.exp(log_pmf) @ weights).T
     fine, coarse = (stationary_law(m) for m in p / p.sum(axis=-1, keepdims=True))
-    if np.max(np.abs(fine - coarse)) < tol:
+    if np.max(np.abs(fine - coarse)) < STATIONARY_TOL:
         return fine
     p = np.zeros((truncation, truncation))
     for k in range(truncation):

@@ -13,7 +13,6 @@ from failsim.checkpoint import (
     run_checkpoint_iteration,
     run_checkpointing,
     sample_beta_n,
-    sample_first_interval_after_shift,
     simulate_hops,
 )
 from failsim.dist import Exponential, Pareto
@@ -85,6 +84,28 @@ def test_simulate_hops_agrees_with_chain():
     assert out["overshoot"][0] == recs[-1].overshoot
 
 
+def test_simulate_hops_hashes_each_landed_size_once(monkeypatch):
+    # the start sizes of hops 2-5 are the landed sizes of hops 1-4, and the
+    # last hop's landed sizes are hashed once, as d_end
+    hashed = []
+
+    def recording(d, seed, replication, points, out=None):
+        if np.ndim(points) == 1:  # the coverage scan hashes (tasks, chunk) tiles
+            hashed.append(tuple(points))
+        return keyed_sizes(d, seed, replication, points, out=out)
+
+    keyed_sizes = checkpoint.keyed_sizes
+    monkeypatch.setattr(checkpoint, "keyed_sizes", recording)
+    out = simulate_hops(Exponential(1.0), Exponential(1.0), 5, seed=31, n_reps=1000)
+    assert len(hashed) == 6 and len(set(hashed)) == 6
+    assert hashed[-1] == tuple(out["end_index"])
+
+
+def test_simulate_hops_needs_a_hop():
+    with pytest.raises(ValueError):
+        simulate_hops(Exponential(1.0), Exponential(1.0), 0, seed=31, n_reps=10)
+
+
 def test_scan_cap_raises():
     # tiny sizes vs huge winning marks force very long coverage scans
     w = generate_renewal(
@@ -129,11 +150,9 @@ def test_landed_interval_engine_vs_oracle():
     d, l = Exponential(1.0), Exponential(1.0)
     n = 20_000
     eng = simulate_hops(d, l, 1, seed=9, n_reps=n)["d_end"]
+    # the landed interval is the one covering an exp(rate) overshoot
     stream = CounterStream(seed=90)
-    orc = np.array(
-        [sample_first_interval_after_shift(d, l, 1, seed=9, oracle_stream=stream)
-         for _ in range(n)]
-    )
+    orc, _ = sample_beta_n(d, Exponential(l.rate).sample_n(stream, n), stream)
     res = stats.ks_2samp(eng, orc)
     assert res.pvalue > 0.01
 

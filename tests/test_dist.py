@@ -8,6 +8,7 @@ from scipy import integrate
 
 from failsim.dist import (
     Deterministic,
+    Distribution,
     DistributionError,
     Exponential,
     FiniteMixture,
@@ -238,6 +239,28 @@ def test_classify_tail():
     assert classify_tail(Weibull(1.0, 2.0)) is TailClass.LIGHT
     assert classify_tail(Pareto(1.0, 3.0)) is TailClass.HEAVY
     assert classify_tail(Weibull(1.0, 0.5)) is TailClass.HEAVY
+
+
+@pytest.mark.parametrize("text, cls", [
+    ("mix(0.5*exp(1), 0.5*pareto(1,2))", TailClass.HEAVY),
+    ("mix(0.9*exp(1), 0.1*pareto(1,5))", TailClass.HEAVY),
+    ("mix(0.5*det(1), 0.5*weibull(1,0.7))", TailClass.HEAVY),
+    ("mix(0.5*exp(1), 0.5*mix(0.5*weibull(1,2), 0.5*weibull(1,0.5)))", TailClass.HEAVY),
+    ("mix(0.5*exp(1), 0.5*exp(3))", TailClass.LIGHT),
+    ("mix(0.3*det(2), 0.7*weibull(1,1.5))", TailClass.LIGHT),
+    ("mix(0.5*exp(1), 0.5*mix(0.5*det(1), 0.5*exp(2)))", TailClass.LIGHT),
+])
+def test_classify_tail_of_mixtures(text, cls):
+    # a mixture's tail is the weighted sum of its components' tails
+    assert classify_tail(parse_distribution(text)) is cls
+
+
+def test_classify_tail_refuses_what_it_cannot_decide():
+    with pytest.raises(DistributionError):
+        classify_tail(parse_distribution("mix(0.5*det(1), 0.5*det(2))"))
+
+    with pytest.raises(DistributionError):
+        classify_tail(Distribution())  # a family with no tail rule
 
 
 @settings(max_examples=40, deadline=None)

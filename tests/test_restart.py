@@ -65,17 +65,15 @@ def test_run_restart_reproducible():
     assert a.tolist() == b.tolist()
 
 
-def test_approximation_path_matches_exact_in_mean():
+def test_approximation_path_matches_exact_in_mean(monkeypatch):
     # same tasks through the exact scan and the heavy-task shortcut
     sizes = np.full(20_000, 6.0)
     law = Exponential(1.0)
     points = np.arange(len(sizes))
-    _, act_exact, flag_exact = simulate_restart_at_points(
-        sizes, points, law, seed=12, approx_threshold=np.inf
-    )
-    _, act_approx, flag_approx = simulate_restart_at_points(
-        sizes, points, law, seed=12, approx_threshold=1.0
-    )
+    monkeypatch.setattr(restart, "APPROX_ATTEMPTS_THRESHOLD", np.inf)
+    _, act_exact, flag_exact = simulate_restart_at_points(sizes, points, law, seed=12)
+    monkeypatch.setattr(restart, "APPROX_ATTEMPTS_THRESHOLD", 1.0)
+    _, act_approx, flag_approx = simulate_restart_at_points(sizes, points, law, seed=12)
     se = act_exact.std() / math.sqrt(len(sizes))
     assert abs(act_exact.mean() - act_approx.mean()) < 4 * se
     assert flag_approx.all()

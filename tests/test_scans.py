@@ -192,9 +192,10 @@ def test_restart_engine_matches_scalar(d, law, cap, seed, tile):
     if cap is None:
         keep = tractable(law, sizes)
         sizes, points = sizes[keep], points[keep]
-    with mock.patch.object(restart, "SCAN_TILE", tile):
+    with mock.patch.object(restart, "SCAN_TILE", tile), \
+            mock.patch.object(restart, "APPROX_ATTEMPTS_THRESHOLD", np.inf):
         got = outcome(lambda: simulate_restart_at_points(
-            sizes, points, law, seed, attempt_cap=cap, approx_threshold=np.inf)[:2])
+            sizes, points, law, seed, attempt_cap=cap)[:2])
     ref = outcome(lambda: restart_reference(sizes, points, law, seed, cap))
     if isinstance(got, tuple) and isinstance(got[0], str):
         assert got == ref
@@ -360,7 +361,7 @@ def test_scans_draw_at_most_one_tile_per_call(monkeypatch):
 
 
 def test_lone_straggler_draws_whole_tiles(monkeypatch):
-    # past MAX_BATCH a lone task's batch keeps doubling, up to one tile
+    # a lone task's batch keeps doubling, up to one tile
     drawn = []
 
     def recording(*words, out=None):
@@ -372,6 +373,24 @@ def test_lone_straggler_draws_whole_tiles(monkeypatch):
     failures, _, _, capped = first_exceedance(Exponential(1.0), 5, 0, [3], [50.0], 0, 10**5)
     assert capped[0] and failures[0] == sum(drawn)
     assert drawn[:4] == [8, 16, 32, 64] and max(drawn) == restart.SCAN_TILE
+
+
+def test_crowded_scan_keeps_its_first_batch(monkeypatch):
+    # 10**4 tasks that never win share a tile at 3 draws each, so the batch
+    # never grows past the first 8 before the cap of 64 stops them all
+    widths = []
+
+    def recording(*words, out=None):
+        widths.append(out.shape[1])
+        return keyed_uniform(*words, out=out)
+
+    keyed_uniform = rng.keyed_uniform
+    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    n = 10**4
+    failures, _, _, capped = first_exceedance(Exponential(1.0), 5, 0, np.arange(n),
+                                              np.full(n, np.inf), 0, 64)
+    assert capped.all() and (failures == 64).all()
+    assert set(widths) == {8}
 
 
 @pytest.mark.parametrize("winners_only", [False, True])

@@ -196,7 +196,8 @@ def test_zero_tolerance_takes_the_scalar_path(monkeypatch):
     d = Weibull(1.0, 2.0)
     fast = stationary_n_distribution(d, 1.0, truncation=20)
     assert rows == []
-    slow = stationary_n_distribution(d, 1.0, truncation=20, tol=0.0)
+    monkeypatch.setattr(universal, "STATIONARY_TOL", 0.0)
+    slow = stationary_n_distribution(d, 1.0, truncation=20)
     assert rows == list(range(20))
     assert np.max(np.abs(fast - slow)) <= 1e-12
 
