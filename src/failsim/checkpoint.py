@@ -80,28 +80,39 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
     """Walk each task's winning mark forward from its checkpoint.
 
     Task k has covered ``d_start[k]`` on reaching checkpoint start[k] + 1;
-    the keyed sizes after it are added one at a time, in chunks of 4 and
-    then of the sizes `scan_rounds` sets, over its row tiles, while the
-    running sum stays below ``win[k]`` (or at most ``win[k]`` where
-    ``inclusive[k]``).  ``replication`` and ``inclusive`` are one value or
-    one per task.  Returns per task the landed checkpoint, X_end - X_start
-    as that running sum, and a flag for a task that covered more than
-    ``scan_cap`` checkpoints, which stops scanning there.  A NaN winning
-    mark covers nothing.
+    the sizes after it are added one at a time, in chunks of 4 and then of
+    the sizes `scan_rounds` sets, over its row tiles, while the running sum
+    stays below ``win[k]`` (or at most ``win[k]`` where ``inclusive[k]``).
+    ``replication`` and ``inclusive`` are one value or one per task.
+    Starts that are one replication's run of points lo, ..., hi - 1 carry
+    the sizes of that block in ``d_start``, so only sizes from hi on are
+    hashed (`keyed_sizes`); other starts hash every size.  Returns per task
+    the landed checkpoint, X_end - X_start as that running sum, and a flag
+    for a task that covered more than ``scan_cap`` checkpoints, which stops
+    scanning there.  A NaN winning mark covers nothing.
     """
     start = np.asarray(start, dtype=np.int64)
     n = len(start)
     reps = np.asarray(replication, dtype=np.int64)
     inclusive = np.broadcast_to(inclusive, n)
+    block = np.asarray(d_start, dtype=float)
+    run = n > 0 and reps.ndim == 0 and bool(np.all(np.diff(start) == 1))
+    lo, hi = (start[0], start[0] + n) if run else (0, 0)
     end = start + 1
-    ideal = np.array(d_start, dtype=float)
+    ideal = block.copy()
     capped = np.zeros(n, dtype=bool)
 
     def step(tasks, pts, u, flags):
         chunk = u.shape[1]
         np.add(end[tasks][:, None], np.arange(chunk), out=pts)
-        sizes = keyed_sizes(d, seed, reps if reps.ndim == 0 else reps[tasks][:, None], pts,
-                            out=u)
+        if run and end[tasks].min() < hi:
+            sizes = np.take(block, pts - lo, mode="clip", out=u)
+            past = pts >= hi
+            if past.any():
+                sizes[past] = keyed_sizes(d, seed, reps, pts[past])
+        else:
+            sizes = keyed_sizes(d, seed, reps if reps.ndim == 0 else reps[tasks][:, None], pts,
+                                out=u)
         sizes[:, 0] += ideal[tasks]  # fold the running sum in, as the kernel does
         csum = np.cumsum(sizes, axis=1, out=sizes)
         w = win[tasks][:, None]
@@ -122,7 +133,7 @@ def hop_scan(d: Distribution, law: Distribution, seed, replication, start, inclu
              winners_only: bool = False):
     """One checkpoint hop from each point of ``start``.
 
-    Hashes each start's size D_start, finds the winning attempt with
+    Hashes each start's size D_start once, finds the winning attempt with
     `restart.first_exceedance` (``winners_only`` is its mode) and walks it
     forward with `covered_checkpoints`; ``replication`` and ``inclusive``
     are one value or one per point.  Returns the hop columns ``end``,
@@ -161,18 +172,20 @@ def run_checkpoint_iteration(
 
     The scalar reference of every checkpoint engine: marks are drawn one at
     a time from the point's keyed lane, like `restart.run_restart_iteration`,
-    and covered checkpoints are then secured one at a time.  The returned
-    window may be an extension of the input (same realization, more points).
+    and covered checkpoints are then secured one at a time, each size read
+    alone through `keyed_sizes`.  The returned window is the input extended
+    past the landed checkpoint.  A Markov window is refused.
     """
+    if window.mrp_spec is not None:
+        raise ValueError("checkpointing runs on renewal windows")
     if inclusive is None:
         inclusive = start_index == 0
-    window = window.extended(start_index + 2)
-    d_start = float(window.sizes[start_index])
-    stream = rng.CounterStream(window.seed, window.replication, rng.DOMAIN_MARK,
-                               point=start_index)
+    d, seed, rep = window.size_law, window.seed, window.replication
+    d_start = float(keyed_sizes(d, seed, rep, [start_index])[0])
+    stream = rng.CounterStream(seed, rep, rng.DOMAIN_MARK, point=start_index)
     total = 0.0
     attempts = 0
-    for win_mark in mark_iter(window.mark_law_for(start_index), stream):
+    for win_mark in mark_iter(window.mark_laws[0], stream):
         total += win_mark
         attempts += 1
         if win_mark > d_start:
@@ -183,8 +196,7 @@ def run_checkpoint_iteration(
     end = start_index + 1
     covered = d_start
     while True:
-        window = window.extended(end + 1)
-        nxt = covered + float(window.sizes[end])
+        nxt = covered + float(keyed_sizes(d, seed, rep, [end])[0])
         ok = nxt <= win_mark if inclusive else nxt < win_mark
         if not ok:
             break
@@ -197,7 +209,7 @@ def run_checkpoint_iteration(
         n=n, start_index=start_index, end_index=end, attempts=attempts,
         ideal=covered, actual=total, overshoot=win_mark - d_start,
     )
-    return record, window
+    return record, window.extended(end + 1)
 
 
 def run_checkpointing(
@@ -218,11 +230,11 @@ def run_checkpointing(
     hop with the columns ``n``, ``start_index``, ``end_index``,
     ``attempts``, ``ideal``, ``actual`` and ``overshoot`` of
     `CheckpointIterationRecord`, and the window extended past the last
-    landed checkpoint.
+    landed checkpoint, which costs nothing: a renewal window holds no sizes.
     """
     if window.mrp_spec is not None:
         raise ValueError("checkpointing runs on renewal windows")
-    d, law = window.size_law, window.mark_law_for(0)
+    d, law = window.size_law, window.mark_laws[0]
     seed, rep = window.seed, window.replication
 
     def hops(pts, attempt_cap, scan_cap):

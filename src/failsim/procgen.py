@@ -7,9 +7,11 @@ are two kinds of window: a window is Markov if and only if it carries its
 ``mrp_spec``.  A mixture window is a renewal window whose one mark law is
 its drawn regime's, and it records that ``regime``.
 
-Windows are immutable; extending a window re-derives every inter-arrival
-from the keyed stream, so a longer window is always a prefix-consistent
-superset of a shorter one with the same seed.
+Windows are immutable and hold their keys, not their sizes: the
+inter-arrival of point n is one keyed draw (`keyed_sizes`), made when the
+sizes are read.  Extending a renewal window only raises its ``n_points``,
+and extending a Markov window walks its states again, so a longer window is
+always a prefix-consistent superset of a shorter one with the same seed.
 
 A Markov window's states are drawn with no per-point loop: one keyed
 uniform per point, a next-state table of every state's successor at every
@@ -43,15 +45,17 @@ class ProcessError(ValueError):
 class MarkedWindow:
     """Ordered points X_0 = 0 < X_1 < ... with lazy per-point mark streams.
 
-    ``law_index[n]`` selects ``mark_laws[law_index[n]]`` as the failure law
-    of point n in a Markov window; a renewal window has one mark law and no
+    A window is its keys: ``sizes`` and ``points`` are derived on every
+    read, with no cache, through `keyed_sizes`.  ``law_index[n]`` selects
+    point n's size law and ``mark_laws[law_index[n]]`` as its failure law
+    in a Markov window; a renewal window has one mark law and no
     ``law_index``.  Marks themselves are never materialized here; engines
     pull them through keyed lanes addressed by (seed, replication, point).
     """
 
     seed: int
     replication: int
-    sizes: np.ndarray
+    n_points: int
     size_law: Distribution | None
     mark_laws: tuple
     law_index: np.ndarray | None = None
@@ -60,27 +64,26 @@ class MarkedWindow:
     mrp_spec: "MarkovRenewalSpec | None" = None
 
     @property
-    def n_points(self) -> int:
-        return len(self.sizes)
+    def sizes(self) -> np.ndarray:
+        if self.mrp_spec is None:
+            return keyed_sizes(self.size_law, self.seed, self.replication,
+                               np.arange(self.n_points))
+        sizes = np.empty(self.n_points)
+        for t, pr in enumerate(self.mrp_spec.transition_pairs()):
+            sel = np.flatnonzero(self.law_index == t)
+            sizes[sel] = keyed_sizes(self.mrp_spec.size_laws[pr], self.seed, self.replication, sel)
+        return sizes
 
     @property
     def points(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.sizes)))
-
-    def mark_law_for(self, point_index: int) -> Distribution:
-        if self.law_index is None:
-            return self.mark_laws[0]
-        return self.mark_laws[self.law_index[point_index]]
 
     def extended(self, n_points: int) -> "MarkedWindow":
         if n_points <= self.n_points:
             return self
         if self.mrp_spec is not None:
             return generate_markov_renewal(self.mrp_spec, n_points, self.seed, self.replication)
-        fresh = generate_renewal(
-            self.size_law, n_points, self.seed, self.replication, self.mark_laws[0]
-        )
-        return replace(fresh, regime=self.regime)
+        return replace(self, n_points=n_points)
 
 
 def keyed_sizes(d: Distribution, seed, replication, points, out=None) -> np.ndarray:
@@ -100,13 +103,7 @@ def generate_renewal(
 ) -> MarkedWindow:
     if n_points < 1:
         raise ProcessError("n_points must be >= 1")
-    return MarkedWindow(
-        seed=seed,
-        replication=replication,
-        sizes=keyed_sizes(d, seed, replication, np.arange(n_points)),
-        size_law=d,
-        mark_laws=(mark_law,),
-    )
+    return MarkedWindow(seed, replication, n_points, d, (mark_law,))
 
 
 def generate_mixture(
@@ -126,14 +123,8 @@ def generate_mixture(
         raise ProcessError("p0 must lie in (0, 1]")
     u = float(rng.keyed_uniform(seed, replication, rng.DOMAIN_REGIME, 0))
     regime = 0 if u < p0 else 1
-    return MarkedWindow(
-        seed=seed,
-        replication=replication,
-        sizes=keyed_sizes(d, seed, replication, np.arange(1)),
-        size_law=d,
-        mark_laws=(l0 if regime == 0 else l1,),
-        regime=regime,
-    )
+    return MarkedWindow(seed, replication, 1, d, (l0 if regime == 0 else l1,),
+                        regime=regime)
 
 
 @dataclass(frozen=True)
@@ -291,18 +282,10 @@ def generate_markov_renewal(
     pair_table[tuple(np.array(pairs).T)] = np.arange(len(pairs))
     law_index = pair_table[states[:-1], states[1:]]
 
-    idx = np.arange(1, n_points + 1)
-    u = rng.keyed_uniform(seed, replication, rng.DOMAIN_SIZE, idx)
-    sizes = np.empty(n_points, dtype=float)
-    for t, pr in enumerate(pairs):
-        sel = law_index == t
-        if np.any(sel):
-            sizes[sel] = np.asarray(spec.size_laws[pr].quantile(u[sel]), dtype=float)
-
     return MarkedWindow(
         seed=seed,
         replication=replication,
-        sizes=sizes,
+        n_points=n_points,
         size_law=None,
         mark_laws=tuple(spec.mark_laws[pr] for pr in pairs),
         law_index=law_index,

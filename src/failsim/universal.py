@@ -82,7 +82,7 @@ def compute_all_kappas(
     """
     if window.mrp_spec is not None:
         raise ValueError("kappa computation runs on renewal windows")
-    law = _require_exponential(window.mark_law_for(0))
+    law = _require_exponential(window.mark_laws[0])
     pts = np.arange(n_points, dtype=np.int64)
     (kappa, *_), *flags = hop_scan(window.size_law, law, window.seed, window.replication,
                                    pts, True, attempt_cap, scan_cap, winners_only=True)

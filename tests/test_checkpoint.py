@@ -157,6 +157,14 @@ def test_landed_interval_engine_vs_oracle():
     assert res.pvalue > 0.01
 
 
+def test_landed_interval_follows_its_exact_law():
+    # an exp(1) overshoot lands in the inter-arrival that covers it, whose
+    # law for exp(1) sizes is P(D <= y) = (1 - e^-y)^2
+    d_end = simulate_hops(Exponential(1.0), Exponential(1.0), 1, seed=43, n_reps=10**5)["d_end"]
+    res = stats.kstest(d_end, lambda y: np.expm1(-y) ** 2)
+    assert res.pvalue > 0.01
+
+
 def test_landed_interval_dominates_base_law():
     out = simulate_hops(Exponential(1.0), Exponential(1.0), 1, seed=9, n_reps=20_000)
     d_end = out["d_end"]

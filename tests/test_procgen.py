@@ -1,3 +1,4 @@
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from failsim import procgen, rng
-from failsim.checkpoint import run_checkpointing
+from failsim.checkpoint import run_checkpoint_iteration, run_checkpointing
 from failsim.dist import (
     BoundedSupportError,
     Deterministic,
@@ -61,6 +62,28 @@ def test_extended_is_prefix_stable():
     assert np.array_equal(np.asarray(big.sizes)[:100], np.asarray(w.sizes))
 
 
+def test_renewal_windows_draw_no_size(monkeypatch):
+    # a renewal window is its keys: generating or extending one hashes
+    # nothing, and its sizes are hashed when they are read
+    drawn = []
+
+    def recording(*words, out=None):
+        drawn.append(words[2])
+        return keyed_uniform(*words, out=out)
+
+    keyed_uniform = rng.keyed_uniform
+    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    d, law = Exponential(1.0), Exponential(1.0)
+    w = generate_renewal(d, 10**6, 301, mark_law=law)
+    big = w.extended(2 * 10**6)
+    mix = generate_mixture(d, law, Exponential(0.5), 0.5, 301).extended(10**6)
+    assert rng.DOMAIN_SIZE not in drawn
+    assert "sizes" not in {f.name for f in fields(procgen.MarkedWindow)}
+    assert big.n_points == 2 * 10**6 and mix.n_points == 10**6
+    assert big.sizes[:10**6].tolist() == w.sizes.tolist()
+    assert drawn.count(rng.DOMAIN_SIZE) == 2
+
+
 def test_keyed_sizes_one_at_a_time_match_bulk():
     # two-sided sizes of a Pareto law, one index at a time and all at once
     d = Pareto(1.0, 2.0)
@@ -93,7 +116,7 @@ def test_mixture_mark_law_follows_regime():
     l0, l1 = Exponential(1.0), Exponential(0.5)
     for r in range(6):
         w = generate_mixture(Exponential(1.0), l0, l1, 0.5, seed=2, replication=r)
-        assert w.mark_law_for(0) is (l0 if w.regime == 0 else l1)
+        assert w.mark_laws[0] is (l0 if w.regime == 0 else l1)
 
 
 def test_mixture_window_is_its_regimes_renewal_window():
@@ -120,7 +143,9 @@ def test_mixture_window_is_its_regimes_renewal_window():
     lambda w: run_checkpointing(w, 10),
     lambda w: simulate_walk_restart(w, 0.25, 10),
     lambda w: compute_all_kappas(w, 10),
-], ids=["run_checkpointing", "simulate_walk_restart", "compute_all_kappas"])
+    lambda w: run_checkpoint_iteration(w, 0),
+], ids=["run_checkpointing", "simulate_walk_restart", "compute_all_kappas",
+        "run_checkpoint_iteration"])
 def test_engines_refuse_a_markov_window(engine):
     w = generate_markov_renewal(alternating_spec(), 20, seed=3)
     with pytest.raises(ValueError, match="renewal"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failsim import restart, rng
+from failsim import checkpoint, restart, rng
 from failsim.checkpoint import (
     DEFAULT_SCAN_CAP,
     ScanCapError,
@@ -234,6 +234,83 @@ def test_kappas_match_scalar(d, rate, cap, scan_cap, seed, tile):
         for n in range(40)
     ])
     assert got == ref
+
+
+# -- long hops: every hop covers tens of points, across the block's end ---------
+
+
+def short_sizes():
+    """Sizes far below exp(1)-like marks, so that each hop covers tens of
+    points and the hops near a block's end walk past it."""
+    return st.builds(Exponential, st.floats(10.0, 40.0))
+
+
+near_exp1 = st.floats(0.8, 1.25)
+long_scan_caps = st.one_of(st.just(DEFAULT_SCAN_CAP), st.integers(20, 60))
+
+
+@settings(max_examples=30, deadline=None)
+@given(short_sizes(), near_exp1, long_scan_caps, seeds, tiles,
+       st.sampled_from([checkpoint.MAX_BLOCK, 200]))
+def test_long_hop_chain_matches_scalar(d, rate, scan_cap, seed, tile, block):
+    # 120 hops of ~25 points: the chain crosses the first block's 64 points,
+    # and, with blocks cut to 200 points, a dozen more block ends
+    w = generate_renewal(d, 1, seed, mark_law=Exponential(rate))
+    with mock.patch.object(restart, "SCAN_TILE", tile), \
+            mock.patch.object(checkpoint, "MAX_BLOCK", block):
+        got = outcome(lambda: run_checkpointing(w, 120, attempt_cap=None,
+                                                scan_cap=scan_cap)[0])
+    assert rows(got) == rows(outcome(lambda: chain_reference(w, 120, None, scan_cap)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(short_sizes(), near_exp1, seeds, tiles)
+def test_long_hop_kappas_match_scalar(d, rate, seed, tile):
+    # the hops of the last few dozen points walk past the block's end
+    w = generate_renewal(d, 1, seed, mark_law=Exponential(rate))
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        got = compute_all_kappas(w, 150, attempt_cap=None).tolist()
+    assert got == [run_checkpoint_iteration(w, n, inclusive=True, attempt_cap=None)[0].end_index
+                   for n in range(150)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(short_sizes(), near_exp1, seeds, tiles)
+def test_long_hop_simulate_hops_matches_scalar(d, rate, seed, tile):
+    law = Exponential(rate)
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        got = simulate_hops(d, law, 4, seed, n_reps=8, attempt_cap=None)
+    for rep in range(8):
+        w = generate_renewal(d, 1, seed, rep, law)
+        last = chain_reference(w, 4, None, DEFAULT_SCAN_CAP)[-1]
+        assert (got["end_index"][rep], got["attempts"][rep], got["ideal"][rep],
+                got["actual"][rep], got["overshoot"][rep]) == astuple(last)[2:]
+        assert got["d_end"][rep] == w.extended(last.end_index + 1).sizes[last.end_index]
+
+
+# -- each size is hashed once -----------------------------------------------------
+
+
+@pytest.mark.parametrize("engine", [
+    lambda w: compute_all_kappas(w, 25_000),
+    lambda w: run_checkpointing(w, 625),
+], ids=["compute_all_kappas", "run_checkpointing"])
+def test_each_size_is_hashed_once(monkeypatch, engine):
+    # a hop's cover walk gathers the sizes its hop map hashed for the block
+    # and hashes only the points past the block's end
+    keys = []  # the (replication, point) of every size uniform drawn
+
+    def recording(*words, out=None):
+        if words[2] == rng.DOMAIN_SIZE:
+            rep, point = np.broadcast_arrays(words[1], words[3])
+            keys.extend(zip(rep.ravel().tolist(), point.ravel().tolist()))
+        return keyed_uniform(*words, out=out)
+
+    w = generate_renewal(Exponential(1.0), 1, 301, mark_law=Exponential(1.0))
+    keyed_uniform = rng.keyed_uniform
+    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    engine(w)
+    assert len(keys) <= 1.25 * len(set(keys))
 
 
 # -- the winners-only mode against the default mode -----------------------------
