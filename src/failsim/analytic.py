@@ -85,7 +85,10 @@ def _windowed_quantile_integral(integrand, d: Distribution):
     """Integrate integrand(z) f_D(dz) via w = F_D(z) in dyadic windows.
 
     Windows (1 - 2^-k, 1 - 2^-(k+1)) drive the geometric-decay divergence
-    test; the remaining upper tail is integrated in s = 1 - w space through
+    test.  A window ends the sum as negligible only after some earlier
+    window has contributed: an integrand can be exactly 0 over the first
+    windows (restart with Pareto marks, below the mark scale).  The
+    remaining upper tail is integrated in s = 1 - w space through
     the upper quantile, which keeps endpoint singularities resolvable.
     Returns (value, error_bound) or (inf, None) on failed decay.
     """
@@ -98,6 +101,7 @@ def _windowed_quantile_integral(integrand, d: Distribution):
     err = 0.0
     contributions = []
     stale = 0
+    positive = False  # whether an earlier window contributed
     for k in range(_MAX_WINDOWS):
         lo = 1.0 - 2.0**-k
         hi = 1.0 - 2.0 ** -(k + 1)
@@ -110,8 +114,9 @@ def _windowed_quantile_integral(integrand, d: Distribution):
             stale = stale + 1 if ratio >= _DECAY_RATIO else 0
             if stale >= _DECAY_WINDOWS:
                 return math.inf, None
-        if val <= _NEGLIGIBLE * max(total, 1.0):
+        if positive and val <= _NEGLIGIBLE * max(total, 1.0):
             return total, err + val
+        positive = positive or val > 0
 
     def h(s):
         val = float(integrand(float(d.isf(s))))

@@ -12,8 +12,10 @@ points at once: `restart.first_exceedance` finds the winning attempts and
 `covered_checkpoints` walks them forward, both over the row tiles of
 `restart.scan_rounds`, so neither holds more than ``SCAN_TILE`` draws at
 once.  `run_checkpoint_iteration` is its draw-by-draw scalar reference;
-`run_checkpointing` chases one chain through hop maps computed for blocks
-of points and returns a record array, one row per hop; `simulate_hops`
+`run_chains` chases the chains of many windows in lockstep through hop
+maps computed for blocks of points ahead of each, and returns a record
+array per chain, one row per hop; `run_checkpointing` is its one-window
+case; `simulate_hops`
 runs many replications hop by hop, for the limit-law and
 inspection-paradox diagnostics; and `universal.compute_all_kappas` takes
 one hop from every point.  They run on renewal windows, mixture windows
@@ -37,6 +39,7 @@ from .restart import (
     efficiency_from_sums,
     first_exceedance,
     mark_iter,
+    running_sums,
     scan_rounds,
 )
 
@@ -84,45 +87,69 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
     the sizes `scan_rounds` sets, over its row tiles, while the running sum
     stays below ``win[k]`` (or at most ``win[k]`` where ``inclusive[k]``).
     ``replication`` and ``inclusive`` are one value or one per task.
-    Starts that are one replication's run of points lo, ..., hi - 1 carry
-    the sizes of that block in ``d_start``, so only sizes from hi on are
-    hashed (`keyed_sizes`); other starts hash every size.  Returns per task
-    the landed checkpoint, X_end - X_start as that running sum, and a flag
-    for a task that covered more than ``scan_cap`` checkpoints, which stops
-    scanning there.  A NaN winning mark covers nothing.
+    A run of tasks of one replication at consecutive points lo, ..., hi - 1
+    carries the sizes of that block in ``d_start``, so only sizes from hi
+    on are hashed (`keyed_sizes`): the starts of one chain's block, of many
+    chains' blocks one after another, or of every point.  A task alone in
+    its run hashes every size.  Returns per task the landed checkpoint,
+    X_end - X_start as that running sum, and a flag for a task that covered
+    more than ``scan_cap`` checkpoints, which stops scanning there.  A NaN
+    winning mark covers nothing.
     """
     start = np.asarray(start, dtype=np.int64)
     n = len(start)
     reps = np.asarray(replication, dtype=np.int64)
-    inclusive = np.broadcast_to(inclusive, n)
+    inclusive = np.asarray(inclusive)
     block = np.asarray(d_start, dtype=float)
-    run = n > 0 and reps.ndim == 0 and bool(np.all(np.diff(start) == 1))
-    lo, hi = (start[0], start[0] + n) if run else (0, 0)
+    # task k reads the size of point p at d_start[p + skip[k]] while that
+    # index is below stop[k], the end of its run
+    first = np.ones(n, dtype=bool)
+    np.not_equal(np.diff(start), 1, out=first[1:])
+    if reps.ndim:
+        first[1:] |= reps[1:] != reps[:-1]
+    heads = np.flatnonzero(first)
+    lengths = np.diff(heads, append=n)
+    stop = np.repeat(heads + lengths, lengths)
+    skip = np.arange(n) - start
     end = start + 1
     ideal = block.copy()
     capped = np.zeros(n, dtype=bool)
 
-    def step(tasks, pts, u, flags):
+    def step(tasks, keys, u, flags):
         chunk = u.shape[1]
-        np.add(end[tasks][:, None], np.arange(chunk), out=pts)
-        if run and end[tasks].min() < hi:
-            sizes = np.take(block, pts - lo, mode="clip", out=u)
-            past = pts >= hi
+        reached = end[tasks]
+        rep = reps if reps.ndim == 0 else reps[tasks][:, None]
+        offset, inside = skip[tasks], stop[tasks]
+        index = reached + offset
+        if np.any(index < inside):
+            # keys are indices into d_start; they have the layout of u, so
+            # their flat views in memory order match element for element
+            np.add(index[:, None], np.arange(chunk), out=keys)
+            np.take(block, keys.ravel(order="K"), mode="clip", out=u.ravel(order="K"))
+            past = keys >= inside[:, None]
             if past.any():
-                sizes[past] = keyed_sizes(d, seed, reps, pts[past])
+                keys -= offset[:, None]
+                u[past] = keyed_sizes(d, seed, rep if reps.ndim == 0 else
+                                      np.broadcast_to(rep, keys.shape)[past], keys[past])
+            sizes = u
         else:
-            sizes = keyed_sizes(d, seed, reps if reps.ndim == 0 else reps[tasks][:, None], pts,
-                                out=u)
-        sizes[:, 0] += ideal[tasks]  # fold the running sum in, as the kernel does
-        csum = np.cumsum(sizes, axis=1, out=sizes)
+            np.add(reached[:, None], np.arange(chunk), out=keys)
+            sizes = keyed_sizes(d, seed, rep, keys, out=u)
+        covered = ideal[tasks]
+        sizes[:, 0] += covered  # fold the running sum in, as the kernel does
+        csum = running_sums(sizes)
         w = win[tasks][:, None]
-        fits = np.logical_or(csum < w, inclusive[tasks][:, None] & (csum == w), out=flags)
+        if inclusive.ndim == 0:
+            fits = (np.less_equal if inclusive else np.less)(csum, w, out=flags)
+        else:
+            fits = np.logical_or(csum < w, inclusive[tasks][:, None] & (csum == w), out=flags)
         add = fits.sum(axis=1)  # fits is prefix-true since csum never decreases
-        rows = np.arange(len(tasks))
-        ideal[tasks] = np.where(add > 0, csum[rows, add - 1], ideal[tasks])
-        end[tasks] += add
-        capped[tasks] = end[tasks] - start[tasks] > scan_cap
-        return (add == chunk) & ~capped[tasks]
+        ideal[tasks] = np.where(add > 0, csum[np.arange(len(u)), add - 1], covered)
+        reached += add
+        end[tasks] = reached
+        over = reached - start[tasks] > scan_cap
+        capped[tasks] = over
+        return (add == chunk) & ~over
 
     scan_rounds(n, 4, max(scan_cap, 1), step)
     return end, ideal, capped
@@ -212,6 +239,90 @@ def run_checkpoint_iteration(
     return record, window.extended(end + 1)
 
 
+def run_chains(windows, n_iterations: int, attempt_cap=DEFAULT_ATTEMPT_CAP,
+               scan_cap: int = DEFAULT_SCAN_CAP) -> list:
+    """Chain hops in each of many renewal windows of one seed and laws, in
+    lockstep: one record array per window, each what `run_checkpointing`
+    returns for it alone.
+
+    Each step computes, in one `hop_scan`, the hops of a block of points
+    ahead of every live chain (each block sized from its chain's mean hop
+    length so far, the blocks together at most ``MAX_BLOCK`` points), and
+    each chain then follows its landed checkpoints through its block.  A
+    point a chain skips costs at most ``SPECULATION_CAP`` attempts and
+    covered checkpoints, and never raises; a visited point over that is
+    redone alone under the real caps.  A chain whose redone hop reaches a
+    cap ends, and so does every later chain: the error raised is the one
+    that a loop over the windows in turn raises first.
+    """
+    if any(w.mrp_spec is not None for w in windows):
+        raise ValueError("checkpointing runs on renewal windows")
+    d, law, seed = windows[0].size_law, windows[0].mark_laws[0], windows[0].seed
+    if any((w.size_law, w.mark_laws[0], w.seed) != (d, law, seed) for w in windows):
+        raise ValueError("the chains of one checkpointing run share their seed and laws")
+    reps = np.array([w.replication for w in windows], dtype=np.int64)
+    spec_cap = SPECULATION_CAP if attempt_cap is None else min(attempt_cap, SPECULATION_CAP)
+    chains = [[] for _ in windows]  # the visited points
+    parts = [[] for _ in windows]  # their hop columns, block by block
+    start = [0] * len(windows)
+    live = list(range(len(windows)))
+    error = None  # (chain, the error its redone hop raised)
+    while live:
+        share = max(MAX_BLOCK // len(live), 1)
+        moving = live[:MAX_BLOCK]
+        blocks = []
+        for r in moving:
+            span = start[r] / len(chains[r]) if chains[r] else 1.0
+            left = n_iterations - len(chains[r])
+            blocks.append((start[r], start[r] + min(max(64, math.ceil(1.25 * span * left)),
+                                                   share)))
+        pts = np.concatenate([np.arange(lo, hi) for lo, hi in blocks])
+        rep_of = reps[0] if len(windows) == 1 else np.repeat(reps[moving],
+                                                             [hi - lo for lo, hi in blocks])
+        cols, capped, scan_capped = hop_scan(d, law, seed, rep_of, pts, pts == 0, spec_cap,
+                                             min(scan_cap, SPECULATION_CAP))
+        ends, flagged = cols[0].tolist(), (capped | scan_capped).tolist()
+        base = 0
+        for r, (lo, hi) in zip(moving, blocks):
+            chain, first, at = chains[r], len(chains[r]), start[r]
+            while at < hi and len(chain) < n_iterations and (error is None or r < error[0]):
+                i = base + at - lo
+                if flagged[i]:
+                    point = np.array([at])
+                    redo, *flags = hop_scan(d, law, seed, reps[r], point, point == 0,
+                                            attempt_cap, scan_cap)
+                    try:
+                        raise_first_capped(point, *flags, attempt_cap, scan_cap)
+                    except (PathologicalIterationError, ScanCapError) as exc:
+                        error = (r, exc)
+                        break
+                    for col, value in zip(cols, redo):
+                        col[i] = value[0]
+                    ends[i] = int(redo[0][0])
+                chain.append(at)
+                at = ends[i]
+            start[r] = at
+            parts[r].append([col[base - lo + np.array(chain[first:], dtype=np.int64)]
+                             for col in cols])
+            base += hi - lo
+        live = [r for r in live if len(chains[r]) < n_iterations
+                and (error is None or r < error[0])]
+
+    runs = []
+    for r, chain in enumerate(chains):
+        if error is not None and r == error[0]:
+            raise error[1]
+        start_index = np.array(chain, dtype=np.int64)
+        end, attempts, ideal, actual, overshoot = (np.concatenate(c) for c in zip(*parts[r]))
+        if np.any(end < start_index + 1) or np.any(overshoot <= 0):
+            raise ValueError("a hop must advance at least one checkpoint, by a positive overshoot")
+        runs.append(np.rec.fromarrays(
+            [np.arange(n_iterations), start_index, end, attempts, ideal, actual, overshoot],
+            names="n,start_index,end_index,attempts,ideal,actual,overshoot",
+        ))
+    return runs
+
+
 def run_checkpointing(
     window: MarkedWindow,
     n_iterations: int,
@@ -221,54 +332,14 @@ def run_checkpointing(
     """Chain hops: iteration k starts where iteration k-1 landed.
 
     Same draws, sums and tie rules as `run_checkpoint_iteration`, hop for
-    hop.  The hops of a block of points ahead of the chain are computed at
-    once, and the chain then follows the landed checkpoints through the
-    block; each new block is sized from the mean hop length so far.  A
-    point the chain skips costs at most ``SPECULATION_CAP`` attempts and
-    covered checkpoints, and never raises; a visited point over that is
-    redone alone under the real caps.  Returns a record array, one row per
-    hop with the columns ``n``, ``start_index``, ``end_index``,
-    ``attempts``, ``ideal``, ``actual`` and ``overshoot`` of
+    hop, computed as the one-window case of `run_chains`.  Returns a record
+    array, one row per hop with the columns ``n``, ``start_index``,
+    ``end_index``, ``attempts``, ``ideal``, ``actual`` and ``overshoot`` of
     `CheckpointIterationRecord`, and the window extended past the last
     landed checkpoint, which costs nothing: a renewal window holds no sizes.
     """
-    if window.mrp_spec is not None:
-        raise ValueError("checkpointing runs on renewal windows")
-    d, law = window.size_law, window.mark_laws[0]
-    seed, rep = window.seed, window.replication
-
-    def hops(pts, attempt_cap, scan_cap):
-        return hop_scan(d, law, seed, rep, pts, pts == 0, attempt_cap, scan_cap)
-
-    spec_cap = SPECULATION_CAP if attempt_cap is None else min(attempt_cap, SPECULATION_CAP)
-    chain, parts = [], []  # the visited points; their columns, block by block
-    start = 0
-    while len(chain) < n_iterations:
-        span = start / len(chain) if chain else 1.0
-        left = n_iterations - len(chain)
-        lo, hi = start, start + min(max(64, math.ceil(1.25 * span * left)), MAX_BLOCK)
-        cols, capped, scan_capped = hops(np.arange(lo, hi), spec_cap,
-                                         min(scan_cap, SPECULATION_CAP))
-        first = len(chain)
-        while start < hi and len(chain) < n_iterations:
-            i = start - lo
-            if capped[i] or scan_capped[i]:
-                redo, *flags = hops(np.array([start]), attempt_cap, scan_cap)
-                raise_first_capped([start], *flags, attempt_cap, scan_cap)
-                for col, value in zip(cols, redo):
-                    col[i] = value[0]
-            chain.append(start)
-            start = int(cols[0][i])
-        parts.append([col[np.array(chain[first:]) - lo] for col in cols])
-    start_index = np.array(chain, dtype=np.int64)
-    end, attempts, ideal, actual, overshoot = (np.concatenate(c) for c in zip(*parts))
-    if np.any(end < start_index + 1) or np.any(overshoot <= 0):
-        raise ValueError("a hop must advance at least one checkpoint, by a positive overshoot")
-    records = np.rec.fromarrays(
-        [np.arange(n_iterations), start_index, end, attempts, ideal, actual, overshoot],
-        names="n,start_index,end_index,attempts,ideal,actual,overshoot",
-    )
-    return records, window.extended(start + 1)
+    records = run_chains([window], n_iterations, attempt_cap, scan_cap)[0]
+    return records, window.extended(int(records.end_index[-1]) + 1)
 
 
 # ---------------------------------------------------------------------------

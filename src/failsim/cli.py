@@ -109,10 +109,11 @@ def _est_dict(e: rs.EfficiencyEstimate):
 
 
 def _run_restart(sc: Scenario):
+    """Every replication's tasks share the scans of `restart.run_replications`."""
     per_rep, traces, curves = [], [], []
-    for rep in range(sc.replications):
-        window = _make_window(sc, rep)
-        records = rs.run_restart(window, sc.iterations, attempt_cap=sc.attempt_cap)
+    windows = [_make_window(sc, rep) for rep in range(sc.replications)]
+    runs = rs.run_replications(windows, sc.iterations, attempt_cap=sc.attempt_cap)
+    for window, records in zip(windows, runs):
         est = rs.efficiency(records, sc.tolerance)
         entry = _est_dict(est)
         if window.regime is not None:
@@ -134,13 +135,12 @@ def _run_restart(sc: Scenario):
 
 
 def _run_checkpoint(sc: Scenario):
+    """Every replication's chain moves in the lockstep of `checkpoint.run_chains`."""
     per_rep, traces, curves = [], [], []
     companions = []
-    for rep in range(sc.replications):
-        window = _make_window(sc, rep)
-        records, _ = cp.run_checkpointing(
-            window, sc.iterations, attempt_cap=sc.attempt_cap, scan_cap=sc.scan_cap
-        )
+    windows = [_make_window(sc, rep) for rep in range(sc.replications)]
+    for records in cp.run_chains(windows, sc.iterations, attempt_cap=sc.attempt_cap,
+                                 scan_cap=sc.scan_cap):
         burn = sc.burn_in if sc.burn_in < sc.iterations else None
         if burn is not None:
             est, companion = cp.checkpoint_efficiency(records, sc.tolerance, burn_in=burn)

@@ -11,8 +11,10 @@ stay in cache; the checkpoint coverage scan runs on the same tiles.
 Tasks whose expected attempt count is enormous (APPROX_ATTEMPTS_THRESHOLD)
 take a distributionally equivalent shortcut (geometric attempt count plus a
 Gaussian total for the failed attempts) so heavy-tailed sizes stay
-tractable.  `run_restart` returns a numpy record array, one row per task,
-and `efficiency` reads its ``ideal`` and ``actual`` columns;
+tractable.  `run_replications` restarts the tasks of many windows in
+shared scans and returns a numpy record array per window, one row per
+task; `run_restart` is its one-window case, and `efficiency` reads the
+``ideal`` and ``actual`` columns;
 `run_restart_iteration`, the draw-by-draw scalar reference, returns one
 `RestartIterationRecord`.
 """
@@ -36,12 +38,16 @@ APPROX_ATTEMPTS_THRESHOLD = 1e5
 
 
 class PathologicalIterationError(RuntimeError):
-    """Attempt cap exceeded; the iteration is diagnosed, not truncated."""
+    """Attempt cap exceeded; the iteration is diagnosed, not truncated.
 
-    def __init__(self, index: int, cap: float):
+    ``task`` is the capped task's place among the tasks of the vectorized
+    call that raised, where there is one."""
+
+    def __init__(self, index: int, cap: float, task: int | None = None):
         super().__init__(f"pathological iteration at index {index}: attempt cap {cap:g} exceeded")
         self.index = index
         self.cap = cap
+        self.task = task
 
 
 @dataclass(frozen=True)
@@ -114,10 +120,19 @@ def scan_rounds(n, first_batch, cap, step):
     stopped every task.  Its tasks are cut into tiles of at most SCAN_TILE
     values (one task at least), and ``step(tasks, keys, u, flags)`` handles
     one tile:
-    ``tasks`` are task indices, and ``keys`` (int64), ``u`` (float64) and
-    ``flags`` (bool) are (tasks, batch) work arrays, views of buffers made
-    once per scan and reused by every tile.  ``step`` returns which of its
-    tasks stay active.
+    ``tasks`` indexes the tile's tasks (a slice while every task is active,
+    so that the first round reads and writes per-task arrays as views,
+    else an array of task indices), and ``keys`` (int64), ``u`` (float64)
+    and ``flags`` (bool) are (tasks, batch) work arrays, views of buffers
+    made once per scan and reused by every tile.  ``step`` returns which of
+    its tasks stay active.
+
+    A narrow tile, one with at least as many rows as columns, is laid out
+    column by column (its work arrays are transposes of C-ordered blocks),
+    so that a column is contiguous: numpy's row-wise running sums, first
+    searches and counts pay a call per row, and on such a tile
+    `running_sums` and `first_true` go one column at a time, vectorized
+    over the rows.  A wider tile, such as a straggler's, keeps rows.
     """
     buffers = [np.empty(SCAN_TILE, dtype=t) for t in (np.int64, float, bool)]
     active = np.arange(n)
@@ -129,12 +144,38 @@ def scan_rounds(n, first_batch, cap, step):
         rows = max(SCAN_TILE // batch, 1)
         keep = np.empty(len(active), dtype=bool)
         for lo in range(0, len(active), rows):
-            tasks = active[lo:lo + rows]
-            shape = (len(tasks), batch)
-            views = (buf[:len(tasks) * batch].reshape(shape) for buf in buffers)
+            tasks = slice(lo, lo + rows) if len(active) == n else active[lo:lo + rows]
+            width = min(rows, len(active) - lo)
+            if width >= batch:
+                views = (buf[:width * batch].reshape(batch, width).T for buf in buffers)
+            else:
+                views = (buf[:width * batch].reshape(width, batch) for buf in buffers)
             keep[lo:lo + rows] = step(tasks, *views)
         active = active[keep]
         batch = min(2 * batch, max(first_batch, SCAN_TILE // max(len(active), 1)))
+
+
+def running_sums(tile):
+    """Running sums along each row of a tile, in place, each added to the
+    last one value at a time, as a scalar loop adds them."""
+    if len(tile) < tile.shape[1]:
+        return np.cumsum(tile, axis=1, out=tile)
+    for c in range(1, tile.shape[1]):
+        np.add(tile[:, c - 1], tile[:, c], out=tile[:, c])
+    return tile
+
+
+def first_true(flags):
+    """Per row of a bool tile: the column of its first True, or the tile's
+    width where it has none.  A narrow tile's flags are or-accumulated in
+    place, column by column, and counted."""
+    rows, cols = flags.shape
+    if rows < cols:
+        first = np.argmax(flags, axis=1)
+        return np.where(flags[np.arange(rows), first], first, cols)
+    for c in range(1, cols):
+        np.logical_or(flags[:, c - 1], flags[:, c], out=flags[:, c])
+    return cols - flags.sum(axis=1)
 
 
 def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
@@ -144,12 +185,13 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
     Task k reads attempts offsets[k] + 1, offsets[k] + 2, ... of the mark
     lane (seed, replication[k], MARK, points[k]) in batches over the row
     tiles of `scan_rounds`, starting at 8 marks; ``replication`` is one
-    value or one per task.  Returns per task the failure count, the wasted
-    time (the failed marks, summed draw by draw as `run_restart_iteration`
-    sums them), the winning mark, and a flag for a task whose failures
-    reach ``attempt_cap``.  A flagged task stops scanning and its winning
-    mark is NaN; this never raises, so each caller raises for the flagged
-    tasks it uses.
+    value or one per task, so that the tasks of many replications share
+    one scan, and each task's results are those it gets alone.  Returns per
+    task the failure count, the wasted time (the failed marks, summed draw
+    by draw as `run_restart_iteration` sums them), the winning mark, and a
+    flag for a task whose failures reach ``attempt_cap``.  A flagged task
+    stops scanning and its winning mark is NaN; this never raises, so each
+    caller raises for the flagged tasks it uses.
 
     With ``winners_only`` the wasted time is not summed and comes back as
     None, and the marks must be `Exponential`.  The scan then works on the
@@ -176,24 +218,21 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
         bound = np.nextafter(1.0 - law.tail(thresholds) * (1.0 + 2.0**-20), 0.0)
 
     def first_above(marks, limit, flags):
-        """Per row of ``marks``: the first mark above ``limit``, its column,
-        and whether there is one."""
-        first = np.argmax(np.greater(marks, limit[:, None], out=flags), axis=1)
-        won = marks[np.arange(len(marks)), first]
-        return won, first, won > limit
+        """Per row of ``marks``: the column of its first mark above
+        ``limit`` (the row length where none is) and that mark."""
+        first = first_true(np.greater(marks, limit[:, None], out=flags))
+        return first, marks[np.arange(len(marks)), np.minimum(first, marks.shape[1] - 1)]
 
-    def winners(tasks, u, flags):
-        first = np.argmax(np.greater(u, bound[tasks][:, None], out=flags), axis=1)
-        cand = np.flatnonzero(flags[np.arange(len(tasks)), first])
-        won = np.full(len(tasks), np.nan)
+    def winners(tasks, u, flags, limit):
+        first = first_true(np.greater(u, bound[tasks][:, None], out=flags))
+        cand = np.flatnonzero(first < u.shape[1])
+        won = np.full(len(u), np.nan)
         won[cand] = law.quantile(u[cand, first[cand]])
-        limit = thresholds[tasks]
-        hit = won > limit
-        unsure = cand[~hit[cand]]  # a tie, or a candidate inside the margin
+        unsure = cand[~(won[cand] > limit[cand])]  # a tie, or a candidate inside the margin
         if len(unsure):
-            won[unsure], first[unsure], hit[unsure] = first_above(
-                law.quantile(u[unsure]), limit[unsure], flags[:len(unsure)])
-        return won, first, hit
+            first[unsure], won[unsure] = first_above(law.quantile(u[unsure]), limit[unsure],
+                                                     flags[:len(unsure)])
+        return first, won
 
     def step(tasks, attempts, u, flags):
         batch = u.shape[1]
@@ -201,19 +240,19 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
                out=attempts)
         rng.keyed_uniform(seed, reps if reps.ndim == 0 else reps[tasks][:, None],
                           rng.DOMAIN_MARK, points[tasks][:, None], attempts, out=u)
+        limit = thresholds[tasks]
         if winners_only:
-            won, first, hit = winners(tasks, u, flags)
+            j, won = winners(tasks, u, flags, limit)
         else:
             marks = np.asarray(law.quantile(u), dtype=float)
-            won, first, hit = first_above(marks, thresholds[tasks], flags)
-        j = np.where(hit, first, batch)  # failures in this batch
-        if wasted is not None:
-            # fold the running total into the first column: the cumsum then
-            # adds one mark at a time, as the scalar loop does
+            j, won = first_above(marks, limit, flags)  # j: failures in this batch
+            # fold the running total into the first column: the running sums
+            # then add one mark at a time, as the scalar loop does
             marks[:, 0] += wasted[tasks]
-            prefix = np.cumsum(marks, axis=1, out=marks)
-            wasted[tasks] = np.where(j > 0, prefix[np.arange(len(tasks)), j - 1],
+            prefix = running_sums(marks)
+            wasted[tasks] = np.where(j > 0, prefix[np.arange(len(u)), j - 1],
                                      wasted[tasks])
+        hit = j < batch
         failures[tasks] += j
         capped[tasks] = _reaches_cap(failures[tasks], attempt_cap)
         win[tasks] = np.where(hit & ~capped[tasks], won, np.nan)
@@ -256,7 +295,7 @@ def simulate_restart_at_points(
     points,
     law: Distribution,
     seed: int,
-    replication: int = 0,
+    replication=0,
     attempt_cap=DEFAULT_ATTEMPT_CAP,
     attempt_offsets=None,
 ):
@@ -265,14 +304,16 @@ def simulate_restart_at_points(
     Mark i of the task at point n is keyed by (seed, replication, MARK, n, i),
     so every exact iteration is auditable draw by draw: `first_exceedance`
     gives the same failures and times as `run_restart_iteration` over that
-    lane.  ``attempt_offsets`` shifts each task's attempt indices (task
+    lane.  ``replication`` is one value or one per task.
+    ``attempt_offsets`` shifts each task's attempt indices (task
     repetition draws fresh marks from a disjoint range of the same lane).
     Raises `PathologicalIterationError` for the first task whose failures
-    reach ``attempt_cap``.  Returns (failures, actual, approximated) arrays
-    aligned with ``sizes``.
+    reach ``attempt_cap``, with its place among the tasks as ``task``.
+    Returns (failures, actual, approximated) arrays aligned with ``sizes``.
     """
     sizes = np.asarray(sizes, dtype=float)
     points = np.asarray(points, dtype=np.int64)
+    reps = np.asarray(replication, dtype=np.int64)
     if attempt_offsets is None:
         attempt_offsets = np.zeros(len(sizes), dtype=np.int64)
     offsets = np.asarray(attempt_offsets, dtype=np.int64)
@@ -285,19 +326,112 @@ def simulate_restart_at_points(
     heavy = np.nonzero(approximated)[0]
     if len(heavy):
         failures[heavy], actual[heavy] = _approx_tasks(
-            sizes[heavy], points[heavy], law, seed, replication, offsets[heavy]
+            sizes[heavy], points[heavy], law, seed, reps if reps.ndim == 0 else reps[heavy],
+            offsets[heavy]
         )
     exact = np.nonzero(~approximated)[0]
     nfail, wasted, _, _ = first_exceedance(
-        law, seed, replication, points[exact], sizes[exact], offsets[exact], attempt_cap
+        law, seed, reps if reps.ndim == 0 else reps[exact], points[exact], sizes[exact],
+        offsets[exact], attempt_cap
     )
     failures[exact] = nfail
     actual[exact] = wasted + sizes[exact]
 
     capped = _reaches_cap(failures, attempt_cap)
     if np.any(capped):
-        raise PathologicalIterationError(int(points[np.argmax(capped)]), attempt_cap)
+        task = int(np.argmax(capped))
+        raise PathologicalIterationError(int(points[task]), attempt_cap, task)
     return failures, actual, approximated
+
+
+def _chunks(segments, size):
+    """Cut (window, law index, points) segments, in order, into chunks of at
+    most ``size`` tasks, each a list of such segments."""
+    chunk, room = [], size
+    for r, t, pts in segments:
+        while len(pts):
+            chunk.append((r, t, pts[:room]))
+            room -= len(chunk[-1][2])
+            pts = pts[len(chunk[-1][2]):]
+            if not room:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
+
+
+def run_replications(windows, n_iterations: int, attempt_cap=DEFAULT_ATTEMPT_CAP) -> list:
+    """`run_restart` on each of many windows of one seed, their tasks
+    sharing scans: one record array per window, each what `run_restart`
+    returns for it alone.
+
+    Every task with the same mark law, from every window, goes to the same
+    `simulate_restart_at_points` calls (equal laws are one law), in chunks
+    of at most max(n_iterations, SCAN_TILE) tasks, so that a scan holds no
+    more tasks than one replication's or one tile's.  The tasks run in the
+    order of the loop over windows that `run_restart` makes (replication,
+    then law index, then point), and the error raised is the one that loop
+    raises first: that of its first task whose failures reach
+    ``attempt_cap``.
+    """
+    windows = [w.extended(n_iterations) for w in windows]
+    seed = windows[0].seed
+    if any(w.seed != seed for w in windows):
+        raise ValueError("the windows of one restart run share their seed")
+    n = n_iterations
+    records = [np.rec.fromarrays([np.arange(n), w.sizes[:n], np.zeros(n), np.zeros(n),
+                                  np.zeros(n, dtype=bool)],
+                                 names="n,ideal,failures,actual,approximated")
+               for w in windows]
+    segments = []  # (window, law index, mark law, points), in the loop's order
+    for r, w in enumerate(windows):
+        if w.law_index is None:
+            segments.append((r, 0, w.mark_laws[0], np.arange(n)))
+        else:
+            index = w.law_index[:n]
+            segments += [(r, t, w.mark_laws[t], np.flatnonzero(index == t))
+                         for t in np.unique(index)]
+    laws = []
+    for _, _, law, _ in segments:
+        if law not in laws:
+            laws.append(law)
+    reps = [w.replication for w in windows]
+
+    first_error = None  # ((window, law index, point), error)
+    for law in laws:
+        mine = [(r, t, pts) for r, t, other, pts in segments if other == law]
+        for chunk in _chunks(mine, max(n, SCAN_TILE)):
+            r, t, pts = chunk[0]
+            if first_error is not None and (r, t, int(pts[0])) > first_error[0]:
+                break
+            points = np.concatenate([p for _, _, p in chunk])
+            reps_of = (reps[0] if len(windows) == 1 else
+                       np.concatenate([np.full(len(p), reps[r]) for r, _, p in chunk]))
+            sizes = np.concatenate([records[r].ideal[p] for r, _, p in chunk])
+            try:
+                cols = simulate_restart_at_points(sizes, points, law, seed, reps_of,
+                                                  attempt_cap=attempt_cap)
+            except PathologicalIterationError as exc:
+                i = exc.task
+                for r, t, p in chunk:
+                    if i < len(p):
+                        break
+                    i -= len(p)
+                key = (r, t, int(p[i]))
+                if first_error is None or key < first_error[0]:
+                    first_error = (key, exc)
+                break
+            lo = 0
+            for r, _, p in chunk:
+                for name, col in zip(("failures", "actual", "approximated"), cols):
+                    records[r][name][p] = col[lo:lo + len(p)]
+                lo += len(p)
+    if first_error is not None:
+        raise first_error[1]
+    for rec in records:
+        if np.any(rec.actual < rec.ideal):
+            raise ValueError("actual time cannot be below ideal time")
+    return records
 
 
 def run_restart(
@@ -310,31 +444,10 @@ def run_restart(
     Returns one row per task as a record array with the columns ``n``,
     ``ideal`` (the size), ``failures``, ``actual`` and ``approximated``
     (the task took the geometric/Gaussian shortcut); read a column as
-    ``records.actual`` or a task as ``records[n].actual``.
+    ``records.actual`` or a task as ``records[n].actual``.  It is the
+    one-window case of `run_replications`.
     """
-    window = window.extended(n_iterations)
-    sizes = window.sizes[:n_iterations]
-    failures = np.zeros(n_iterations)
-    actual = np.zeros(n_iterations)
-    approximated = np.zeros(n_iterations, dtype=bool)
-
-    law_index = (
-        window.law_index[:n_iterations]
-        if window.law_index is not None
-        else np.zeros(n_iterations, dtype=np.intp)
-    )
-    for t in np.unique(law_index):
-        sel = np.nonzero(law_index == t)[0]
-        failures[sel], actual[sel], approximated[sel] = simulate_restart_at_points(
-            sizes[sel], sel, window.mark_laws[t], window.seed, window.replication,
-            attempt_cap=attempt_cap,
-        )
-    if np.any(actual < sizes):
-        raise ValueError("actual time cannot be below ideal time")
-    return np.rec.fromarrays(
-        [np.arange(n_iterations), sizes, failures, actual, approximated],
-        names="n,ideal,failures,actual,approximated",
-    )
+    return run_replications([window], n_iterations, attempt_cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +460,7 @@ def running_ratio(ideal, actual, ks) -> list:
     idx = np.asarray(ks) - 1
     num = np.cumsum(ideal, dtype=float)[idx]
     den = np.cumsum(actual, dtype=float)[idx]
-    return [float(i / a) if math.isfinite(a) and a > 0 else 0.0 for i, a in zip(num, den)]
+    return [i / a if math.isfinite(a) and a > 0 else 0.0 for i, a in zip(num.tolist(), den.tolist())]
 
 
 def efficiency_from_sums(ideal, actual, tolerance: float = 0.01) -> EfficiencyEstimate:

@@ -17,10 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-_INIT = np.uint64(0x8C5FDB8E3A1D4E27)
+_MASK = (1 << 64) - 1
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+_PHI = 0x9E3779B97F4A7C15
+_INIT = 0x8C5FDB8E3A1D4E27
+# The same constants as numpy scalars, for the rounds that run on arrays.
+_M1_U, _M2_U, _PHI_U = np.uint64(_M1), np.uint64(_M2), np.uint64(_PHI)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 # Key-word domains, so sizes / marks / auxiliary draws never collide.
 DOMAIN_SIZE = 1
@@ -37,54 +41,91 @@ def as_u64(x):
     return np.asarray(x, dtype=np.int64).view(np.uint64)
 
 
+def _word(w):
+    """A key word as a Python int in [0, 2**64) when it holds one value,
+    else as a uint64 array; every word converts as `as_u64` converts it."""
+    if type(w) is int:
+        if not -(1 << 63) <= w < 1 << 63:
+            raise OverflowError("Python int too large to convert to C long")
+        return w & _MASK
+    w = as_u64(w)
+    return int(w.reshape(-1)[0]) if w.size == 1 else w
+
+
+def _mix_int(x):
+    """The splitmix64 finalizer on a Python int in [0, 2**64)."""
+    x = (x ^ x >> 30) * _M1 & _MASK
+    x = (x ^ x >> 27) * _M2 & _MASK
+    return x ^ x >> 31
+
+
 def _mix(x):
-    """The splitmix64 finalizer; in place when ``x`` is an array."""
-    x ^= x >> np.uint64(30)
-    x *= _M1
-    x ^= x >> np.uint64(27)
-    x *= _M2
-    x ^= x >> np.uint64(31)
+    """The splitmix64 finalizer, in place on a uint64 array."""
+    x ^= x >> _S30
+    x *= _M1_U
+    x ^= x >> _S27
+    x *= _M2_U
+    x ^= x >> _S31
     return x
+
+
+def _round(h, w, out=None):
+    """One word's round, h = mix((h + PHI) ^ (w * M1 + PHI)): in Python
+    integers when ``h`` and ``w`` both are, else on uint64 arrays, in
+    ``out`` when it is given."""
+    if isinstance(h, int) and isinstance(w, int):
+        return _mix_int(h + _PHI & _MASK ^ w * _M1 + _PHI & _MASK)
+    if out is None:
+        out = np.empty(np.broadcast(h, w).shape, dtype=np.uint64)
+    if isinstance(w, int):
+        out[...] = w * _M1 + _PHI & _MASK
+    else:
+        np.multiply(w, _M1_U, out=out)
+        out += _PHI_U
+    out ^= np.uint64(h + _PHI & _MASK) if isinstance(h, int) else h + _PHI_U
+    return _mix(out)
 
 
 def keyed_u64(*words, out=None):
     """Hash a tuple of integer words (scalars or broadcastable arrays).
 
-    The earlier words are hashed at their own (small) broadcast shape; the
-    last word's round runs in place in ``out``, a uint64 array of the
-    words' broadcast shape, made here when not given.  Scalar words give
-    a scalar.
+    Each word takes one `_round`.  Leading words that hold one value
+    (Python ints, numpy scalars, 0-d or one-element arrays) are hashed in
+    Python integers, so a scan's fixed key words cost no numpy call; the
+    rounds from the first array word on run in numpy, the last word's in
+    place in ``out``, a uint64 array of the words' broadcast shape, made
+    here when not given.  Scalar words give a scalar.
     """
     if out is None:
         out = np.empty(np.broadcast(*words).shape, dtype=np.uint64)
-    # uint64 wraparound is the point here, so mute numpy's overflow warnings.
-    with np.errstate(over="ignore"):
-        h = _INIT
-        for w in words[:-1]:
-            h = _mix((h + _PHI) ^ (as_u64(w) * _M1 + _PHI))
-        np.multiply(as_u64(words[-1]), _M1, out=out)
-        out += _PHI
-        out ^= h + _PHI
-        _mix(out)
+    h = _INIT
+    for w in words[:-1]:
+        h = _round(h, _word(w))
+    h = _round(h, _word(words[-1]), out)
+    if isinstance(h, int):
+        out[...] = h
     return out if out.ndim else out[()]
 
 
 def keyed_uniform(*words, out=None):
     """Uniform double in (0, 1), a pure function of the key words.
 
-    The hash and its conversion run in place in ``out``, a C-contiguous
-    float64 array of the words' broadcast shape, made here when not given
-    (the scans pass a reused work buffer).  Scalar words give a scalar.
+    The hash and its conversion run in place in ``out``, a contiguous (C
+    or Fortran order) float64 array of the words' broadcast shape, made
+    here when not given (the scans pass a reused work buffer).  Scalar
+    words give a scalar.
     """
     if out is None:
         out = np.empty(np.broadcast(*words).shape)
     bits = out.view(np.uint64)
     keyed_u64(*words, out=bits)
-    bits >>= np.uint64(11)
+    bits >>= _S11
     # The top 53 bits convert exactly; read as int64 (they are below 2**63)
     # they take numpy's fast int64 conversion, not its slow uint64 one.  On
-    # flat views numpy converts the overlapping arrays without a temporary.
-    np.copyto(out.reshape(-1), bits.reshape(-1).view(np.int64), casting="unsafe")
+    # flat views (in memory order) numpy converts the overlapping arrays
+    # without a temporary.
+    np.copyto(out.reshape(-1, order="A"), bits.reshape(-1, order="A").view(np.int64),
+              casting="unsafe")
     out += 0.5
     out *= 2.0**-53
     return out if out.ndim else out[()]

@@ -151,6 +151,27 @@ def test_slowly_convergent_pair_still_finite():
     assert abs(value - 8.0) <= max(err, 1e-9)
 
 
+@pytest.mark.parametrize("d, l, restart_time, checkpoint_time", [
+    (Exponential(1.0), Pareto(1.0, 2.5), 5.0902, 6.3700),
+    (Exponential(1.0), Pareto(2.0, 3.0), 2.3195, 4.5225),
+])
+def test_pareto_marks_below_the_size_median(d, l, restart_time, checkpoint_time):
+    # the restart integrand is exactly 0 below the mark scale, which holds
+    # the size median, so the first dyadic window contributes nothing and
+    # must not end the sum (it returned E[D] = 1.0 with bound 0.0); the
+    # values are those of a direct quad of each integral
+    etr, etc = expected_restart_time(d, l), expected_checkpoint_time(d, l)
+    assert etr.classification is etc.classification is TimeClass.FINITE_NUMERIC
+    assert etr.value == pytest.approx(restart_time, abs=5e-5)
+    assert etc.value == pytest.approx(checkpoint_time, abs=5e-5)
+    assert 0 < etr.abs_error_bound < 1e-6
+
+
+def test_an_all_zero_integrand_sums_every_window():
+    value, err = _windowed_quantile_integral(lambda z: 0.0, Exponential(1.0))
+    assert value == 0.0 and err == 0.0
+
+
 def test_checkpoint_dominates_restart():
     cases = [
         (Exponential(2.0), Exponential(1.0)),

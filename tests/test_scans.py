@@ -5,28 +5,37 @@ walks give: equal failures, attempts, landed checkpoints and times, or the
 same exception naming the same point.
 """
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from failsim import checkpoint, restart, rng
 from failsim.checkpoint import (
     DEFAULT_SCAN_CAP,
     ScanCapError,
     covered_checkpoints,
+    run_chains,
     run_checkpoint_iteration,
     run_checkpointing,
     simulate_hops,
 )
 from failsim.dist import Exponential, Pareto, Weibull
-from failsim.procgen import generate_renewal, keyed_sizes
+from failsim.procgen import (
+    MarkovRenewalSpec,
+    generate_markov_renewal,
+    generate_mixture,
+    generate_renewal,
+    keyed_sizes,
+)
 from failsim.restart import (
     PathologicalIterationError,
     first_exceedance,
     mark_iter,
+    run_replications,
+    run_restart,
     run_restart_iteration,
     simulate_restart_at_points,
 )
@@ -398,21 +407,57 @@ def keyed_uniform_reference(*words):
     return ((h >> 11) + 0.5) * 2.0**-53
 
 
+def word_forms(w):
+    """One key word as each type a caller may pass it as."""
+    return [w, np.int64(w), np.array(w), np.array([w])]
+
+
 @settings(max_examples=50, deadline=None)
 @given(seeds, st.integers(-5, 5), st.integers(1, 30), st.integers(1, 40),
-       st.integers(-2**40, 2**40))
-def test_keyed_uniform_into_a_buffer_is_the_same_draw(seed, rep, rows, cols, base):
+       st.integers(-2**40, 2**40), st.integers(0, 3), st.integers(0, 3))
+def test_keyed_uniform_into_a_buffer_is_the_same_draw(seed, rep, rows, cols, base, seed_form,
+                                                      rep_form):
     points = np.arange(rows)[:, None] * 7 - 3
     attempts = base + np.arange(rows * cols).reshape(rows, cols)
     want = [[keyed_uniform_reference(seed, rep, rng.DOMAIN_MARK, int(p[0]), int(a))
              for a in row] for p, row in zip(points, attempts)]
     out = np.empty((rows, cols))
-    got = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, points, attempts, out=out)
+    # the leading words as Python ints, numpy scalars, 0-d or one-element
+    # arrays: each is hashed in Python integers, to the same bits
+    lead = word_forms(seed)[seed_form], word_forms(rep)[rep_form]
+    got = rng.keyed_uniform(*lead, rng.DOMAIN_MARK, points, attempts, out=out)
     assert got is out and got.tolist() == want
     assert rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, points, attempts).tolist() == want
+    # a column-major buffer takes the same draws
+    out_f = np.empty((cols, rows)).T
+    got = rng.keyed_uniform(*lead, rng.DOMAIN_MARK, points, attempts, out=out_f)
+    assert got is out_f and got.tolist() == want
     scalar = rng.keyed_uniform(seed, rep, rng.DOMAIN_MARK, int(points[0, 0]), base)
     assert np.ndim(scalar) == 0 and scalar == want[0][0]
     assert rng.keyed_uniform(1, 2, 3, 4, 5) == 0.29599997020201946  # the hash is pinned
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=5), st.data())
+def test_keyed_uniform_of_every_word_type(words, data):
+    # negative words included; a word after an array word is hashed in numpy
+    want = keyed_uniform_reference(*words)
+    forms = [data.draw(st.sampled_from(word_forms(w))) for w in words]
+    assert float(np.ravel(rng.keyed_uniform(*forms))[0]) == want
+    if len(words) > 1:
+        arrays = [np.array([w, w]) if k == 0 else f for k, (w, f) in enumerate(zip(words, forms))]
+        assert rng.keyed_uniform(*arrays).tolist() == [want, want]
+
+
+@pytest.mark.parametrize("word", [2**63, -2**63 - 1, 2**64])
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_keyed_uniform_refuses_words_outside_int64(word, place):
+    words = [1, 2, 3]
+    words[place] = word
+    with pytest.raises(OverflowError):
+        rng.keyed_uniform(*words)
+    with pytest.raises(OverflowError):  # after an array word
+        rng.keyed_uniform(np.arange(3), *words)
 
 
 def test_scans_draw_at_most_one_tile_per_call(monkeypatch):
@@ -492,3 +537,166 @@ def test_capped_scans_stop_at_the_cap(monkeypatch, winners_only):
     end, _, capped = covered_checkpoints(Exponential(1.0), 5, 0, [3], [1.0], np.array([np.inf]),
                                          False, 1000)
     assert capped[0] and end[0] == 3 + 1 + 1000 and sum(drawn) == 1000
+
+
+# -- replications share one scan ------------------------------------------------
+
+
+def raised(fn):
+    """The value of ``fn()``, or the kind and message of the engine error it raises."""
+    try:
+        return fn()
+    except (PathologicalIterationError, ScanCapError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_runs(batched, alone):
+    """Record arrays equal row for row, or the same error."""
+    if isinstance(alone, tuple):
+        assert batched == alone
+    else:
+        assert [rows(r) for r in batched] == [rows(r) for r in alone]
+
+
+def restart_windows(kind, d, law, seed, n_reps):
+    """``n_reps`` windows of one kind: renewal, a mixture whose regimes
+    differ between replications, or Markov with the pair mark laws one
+    object, equal objects, or different laws."""
+    if kind == "renewal":
+        return [generate_renewal(d, 1, seed, rep, law) for rep in range(n_reps)]
+    if kind == "mixture":
+        return [generate_mixture(d, law, Exponential(0.5), 0.5, seed, rep)
+                for rep in range(n_reps)]
+    other = {"markov-shared": law, "markov-equal": replace(law),
+             "markov-distinct": Exponential(2.0)}[kind]
+    spec = MarkovRenewalSpec(
+        states=("a", "b"), transition=np.array([[0.3, 0.7], [0.6, 0.4]]),
+        size_laws={(i, j): d for i in range(2) for j in range(2)},
+        mark_laws={(0, 0): law, (0, 1): other, (1, 0): law, (1, 1): other},
+    )
+    return [generate_markov_renewal(spec, 40, seed, rep) for rep in range(n_reps)]
+
+
+window_kinds = st.sampled_from(["renewal", "mixture", "markov-shared", "markov-equal",
+                                "markov-distinct"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_kinds, size_laws(), mark_laws(), st.sampled_from([None, 3, 8, 20]), seeds,
+       st.integers(1, 5), tiles)
+def test_replications_share_a_restart_scan(kind, d, law, cap, seed, n_reps, tile):
+    windows = restart_windows(kind, d, law, seed, n_reps)
+    assume(kind != "mixture" or {w.regime for w in windows} == {0, 1})
+    if cap is None and not all(tractable(l, w.extended(40).sizes[:40]).all()
+                               for w in windows for l in w.mark_laws):
+        return
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        batched = raised(lambda: run_replications(windows, 40, attempt_cap=cap))
+        alone = raised(lambda: [run_restart(w, 40, attempt_cap=cap) for w in windows])
+    same_runs(batched, alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size_laws(), mark_laws(), caps, scan_caps, seeds, st.integers(1, 4), tiles,
+       st.sampled_from([checkpoint.MAX_BLOCK, 200, 3]))
+def test_chains_move_in_lockstep(d, law, cap, scan_cap, seed, n_reps, tile, block):
+    windows = [generate_renewal(d, 1, seed, rep, law) for rep in range(n_reps)]
+    with mock.patch.object(restart, "SCAN_TILE", tile), \
+            mock.patch.object(checkpoint, "MAX_BLOCK", block):
+        alone = raised(lambda: [run_checkpointing(w, 15, attempt_cap=cap,
+                                                  scan_cap=scan_cap)[0] for w in windows])
+        if cap is None and not isinstance(alone, tuple):
+            sizes = [w.extended(r.start_index[-1] + 1).sizes[r.start_index]
+                     for w, r in zip(windows, alone)]
+            if not all(tractable(law, s).all() for s in sizes):
+                return
+        batched = raised(lambda: run_chains(windows, 15, attempt_cap=cap, scan_cap=scan_cap))
+    same_runs(batched, alone)
+
+
+def test_mixture_raises_the_first_replications_error():
+    # seed 1, regimes 1, 0, 0, 1, 1, 1: the first law's scan (exp(0.5), the
+    # regime of replication 0) first caps replication 3 at point 44, the
+    # second's caps replication 1 at point 8, and replication 1 comes first
+    windows = restart_windows("mixture", Exponential(1.0), Exponential(1.0), 1, 6)
+    assert [w.regime for w in windows] == [1, 0, 0, 1, 1, 1]
+    errors = [raised(lambda: run_restart(w, 60, attempt_cap=15)) for w in windows]
+    assert [e[1] for e in errors if isinstance(e, tuple)] == [
+        "pathological iteration at index 8: attempt cap 15 exceeded",
+        "pathological iteration at index 6: attempt cap 15 exceeded",
+        "pathological iteration at index 44: attempt cap 15 exceeded",
+    ]
+    with pytest.raises(PathologicalIterationError, match="index 8:"):
+        run_replications(windows, 60, attempt_cap=15)
+
+
+@pytest.mark.parametrize("caps, first", [
+    ((8, DEFAULT_SCAN_CAP), "pathological iteration at index 9: attempt cap 8 exceeded"),
+    ((None, 2), None),
+])
+def test_lockstep_chains_raise_the_first_chains_error(caps, first):
+    # seed 3: chains 0, 1 and 2 reach an attempt cap of 8 at points 9, 1
+    # and 20; chain 1 gets there in fewer hops than chain 0
+    windows = [generate_renewal(Exponential(1.0), 1, 3, rep, Exponential(1.0))
+               for rep in range(3)]
+    alone = [raised(lambda: run_checkpointing(w, 300, *caps)[0]) for w in windows]
+    errors = [a for a in alone if isinstance(a, tuple)]
+    assert len(errors) >= 2
+    assert first is None or errors[0][1] == first
+    assert raised(lambda: run_chains(windows, 300, *caps)) == errors[0]
+
+
+# -- both tile layouts against the scalar references ----------------------------
+
+
+def scan_tiles(monkeypatch):
+    """Record, scan by scan, the (rows, columns) of every tile the scans
+    hand their steps."""
+    scans = []
+    scan_rounds = restart.scan_rounds
+
+    def recording(n, first_batch, cap, step):
+        tiles = []
+        scans.append(tiles)
+
+        def recorded(tasks, keys, u, flags):
+            tiles.append(u.shape)
+            return step(tasks, keys, u, flags)
+        return scan_rounds(n, first_batch, cap, recorded)
+
+    monkeypatch.setattr(restart, "scan_rounds", recording)
+    monkeypatch.setattr(checkpoint, "scan_rounds", recording)
+    return scans
+
+
+def both_layouts(tiles):
+    """Whether some tiles were narrow (rows >= columns, walked column by
+    column) and some wide."""
+    return {rows >= cols for rows, cols in tiles} == {True, False}
+
+
+@pytest.mark.parametrize("tile", [64, 512, restart.SCAN_TILE])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_narrow_and_wide_tiles_match_scalar(monkeypatch, tile, seed):
+    # weibull(0.3, 0.6) sizes against exp(1) marks: most tasks win in their
+    # first batch and a few draw hundreds of marks; exp(8) sizes make hops
+    # of about eight points, a few of dozens
+    monkeypatch.setattr(restart, "SCAN_TILE", tile)
+    scans = scan_tiles(monkeypatch)
+    law = Exponential(1.0)
+    sizes = generate_renewal(Weibull(0.3, 0.6), 300, seed, mark_law=law).sizes
+    points = np.flatnonzero(tractable(law, sizes))
+    sizes = sizes[points]
+    failures, actual, _ = simulate_restart_at_points(sizes, points, law, seed,
+                                                     attempt_cap=None)
+    assert both_layouts(scans[-1])
+    assert (failures.tolist(), actual.tolist()) == restart_reference(sizes, points, law, seed,
+                                                                     None)
+    both_modes(law, seed, 0, points, sizes, 0, None)
+    assert both_layouts(scans[-1])  # the winners-only scan
+    w = generate_renewal(Exponential(8.0), 1, seed, mark_law=law)
+    kappa = compute_all_kappas(w, 300, attempt_cap=None)
+    assert both_layouts(scans[-1])  # the cover walk
+    assert kappa.tolist() == [run_checkpoint_iteration(w, n, inclusive=True,
+                                                       attempt_cap=None)[0].end_index
+                              for n in range(300)]
