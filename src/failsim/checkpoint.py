@@ -109,17 +109,21 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
         first[1:] |= reps[1:] != reps[:-1]
     heads = np.flatnonzero(first)
     lengths = np.diff(heads, append=n)
-    stop = np.repeat(heads + lengths, lengths)
-    skip = np.arange(n) - start
     end = start + 1
     ideal = block.copy()
-    capped = np.zeros(n, dtype=bool)
+    state = {"end": end, "ideal": ideal, "skip": np.arange(n) - start,
+             "stop": np.repeat(heads + lengths, lengths), "last": start + scan_cap,
+             "win": np.broadcast_to(np.asarray(win, dtype=float), n)}
+    if reps.ndim:
+        state["rep"] = reps
+    if inclusive.ndim:
+        state["inclusive"] = inclusive
 
     def step(tasks, keys, u, flags):
         chunk = u.shape[1]
-        reached = end[tasks]
-        rep = reps if reps.ndim == 0 else reps[tasks][:, None]
-        offset, inside = skip[tasks], stop[tasks]
+        reached = state["end"][tasks]
+        rep = reps if reps.ndim == 0 else state["rep"][tasks][:, None]
+        offset, inside = state["skip"][tasks], state["stop"][tasks]
         index = reached + offset
         if np.any(index < inside):
             # keys are indices into d_start; they have the layout of u, so
@@ -135,24 +139,23 @@ def covered_checkpoints(d: Distribution, seed, replication, start, d_start, win,
         else:
             np.add(reached[:, None], np.arange(chunk), out=keys)
             sizes = keyed_sizes(d, seed, rep, keys, out=u)
-        covered = ideal[tasks]
+        covered = state["ideal"][tasks]
         sizes[:, 0] += covered  # fold the running sum in, as the kernel does
         csum = running_sums(sizes)
-        w = win[tasks][:, None]
+        w = state["win"][tasks][:, None]
         if inclusive.ndim == 0:
             fits = (np.less_equal if inclusive else np.less)(csum, w, out=flags)
         else:
-            fits = np.logical_or(csum < w, inclusive[tasks][:, None] & (csum == w), out=flags)
+            fits = np.logical_or(csum < w, state["inclusive"][tasks][:, None] & (csum == w),
+                                 out=flags)
         add = fits.sum(axis=1)  # fits is prefix-true since csum never decreases
-        ideal[tasks] = np.where(add > 0, csum[np.arange(len(u)), add - 1], covered)
+        covered[...] = np.where(add > 0, csum[np.arange(len(u)), add - 1], covered)
         reached += add
-        end[tasks] = reached
-        over = reached - start[tasks] > scan_cap
-        capped[tasks] = over
-        return (add == chunk) & ~over
+        return (add == chunk) & (reached <= state["last"][tasks])
 
-    scan_rounds(n, 4, max(scan_cap, 1), step)
-    return end, ideal, capped
+    scan_rounds(n, 4, max(scan_cap, 1), step, state, ("end", "ideal"))
+    # a task stops at the first step that takes it past scan_cap checkpoints
+    return end, ideal, end - start > scan_cap
 
 
 def hop_scan(d: Distribution, law: Distribution, seed, replication, start, inclusive,

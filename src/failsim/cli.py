@@ -70,12 +70,13 @@ def _make_window(sc: Scenario, rep: int):
 
 
 def _curve_grid(n: int, points: int):
+    """The N of a run's curve over n iterations; every replication of a run
+    has the same n, so a runner makes the grid once."""
     return np.unique(np.geomspace(1, n, points).astype(int))
 
 
-def _ratio_curve(records, points: int):
+def _ratio_curve(records, grid):
     """(N, running efficiency) pairs on the curve grid."""
-    grid = _curve_grid(len(records), points)
     return list(zip(grid.tolist(), rs.running_ratio(records.ideal, records.actual, grid)))
 
 
@@ -113,6 +114,7 @@ def _run_restart(sc: Scenario):
     per_rep, traces, curves = [], [], []
     windows = [_make_window(sc, rep) for rep in range(sc.replications)]
     runs = rs.run_replications(windows, sc.iterations, attempt_cap=sc.attempt_cap)
+    grid = _curve_grid(sc.iterations, sc.curve_points)
     for window, records in zip(windows, runs):
         est = rs.efficiency(records, sc.tolerance)
         entry = _est_dict(est)
@@ -127,7 +129,7 @@ def _run_restart(sc: Scenario):
             ("n", "ideal", "failures", "actual", "state", "regime"),
             [records.n, records.ideal, records.failures, records.actual, states, [regime] * n],
         ))
-        curves.append(_ratio_curve(records, sc.curve_points))
+        curves.append(_ratio_curve(records, grid))
     estimates = {"efficiency": _estimate([p["ratio"] for p in per_rep])}
     diagnostics = {"trends": [p["trend"] for p in per_rep],
                    "converged": [p["converged"] for p in per_rep]}
@@ -139,6 +141,7 @@ def _run_checkpoint(sc: Scenario):
     per_rep, traces, curves = [], [], []
     companions = []
     windows = [_make_window(sc, rep) for rep in range(sc.replications)]
+    grid = _curve_grid(sc.iterations, sc.curve_points)
     for records in cp.run_chains(windows, sc.iterations, attempt_cap=sc.attempt_cap,
                                  scan_cap=sc.scan_cap):
         burn = sc.burn_in if sc.burn_in < sc.iterations else None
@@ -150,7 +153,7 @@ def _run_checkpoint(sc: Scenario):
         entry = _est_dict(est)
         per_rep.append(entry)
         traces.append((records.dtype.names, [records[f] for f in records.dtype.names]))
-        curves.append(_ratio_curve(records, sc.curve_points))
+        curves.append(_ratio_curve(records, grid))
     estimates = {"efficiency": _estimate([p["ratio"] for p in per_rep])}
     if companions:
         estimates["burn_in_companion"] = _estimate(companions)
@@ -165,6 +168,7 @@ def _run_universal(sc: Scenario):
     kernel_rows = {
         k: un.kernel_row(sc.size_law, lam, k).tolist() for k in range(4)
     }
+    grid = _curve_grid(sc.iterations - sc.lookback, sc.curve_points)  # the N process's span
     for rep in range(sc.replications):
         window = _make_window(sc, rep)
         kappa = un.compute_all_kappas(window, sc.iterations, attempt_cap=sc.attempt_cap,
@@ -191,8 +195,6 @@ def _run_universal(sc: Scenario):
             [np.arange(sc.iterations), kappa[:sc.iterations],
              [""] * blank + vals[: sc.iterations - blank].tolist()],
         ))
-        span = len(vals)
-        grid = _curve_grid(span, sc.curve_points)
         cum = np.cumsum(vals == 0)
         curves.append([(int(k), int(cum[k - 1])) for k in grid])
     estimates = {"universal_density": _estimate([p["universal_density"] for p in per_rep])}
@@ -206,6 +208,7 @@ def _run_universal(sc: Scenario):
 
 def _run_rwalk(sc: Scenario):
     per_rep, traces, curves = [], [], []
+    grid = _curve_grid(sc.iterations, sc.curve_points)
     for rep in range(sc.replications):
         window = _make_window(sc, rep)
         run = rw.simulate_walk_restart(window, sc.walk_p, sc.iterations,
@@ -234,7 +237,7 @@ def _run_rwalk(sc: Scenario):
             [np.arange(1, steps + 1), run.trace.positions[1:], run.task_index,
              run.visit_times],
         ))
-        curves.append(_ratio_curve(run.records, sc.curve_points))
+        curves.append(_ratio_curve(run.records, grid))
     consts = rw.walk_constants(sc.walk_p)
     direct = [p["direct"]["ratio"] for p in per_rep if "direct" in p]
     formula = [p["formula_ratio"] for p in per_rep if "formula_ratio" in p]

@@ -7,7 +7,12 @@ all run on it.  It runs in rounds of batches, each twice the last up to
 the active tasks' share of one tile, and `scan_rounds` cuts each round's
 tasks into row tiles of at most SCAN_TILE draws over work buffers made
 once per scan, so the scan's memory is bounded by the tile and its arrays
-stay in cache; the checkpoint coverage scan runs on the same tiles.
+stay in cache; the checkpoint coverage scan runs on the same tiles.  A
+scan keeps its per-task arrays compacted to the active tasks, so every
+tile reads its tasks as a slice.  Each task's mark lane prefix (seed,
+replication, MARK, point) is hashed once per scan, and each tile is drawn
+in place by `rng.lane_draws`, as exponential marks in the same pass where
+the mark law is `Exponential`.
 Tasks whose expected attempt count is enormous (APPROX_ATTEMPTS_THRESHOLD)
 take a distributionally equivalent shortcut (geometric attempt count plus a
 Gaussian total for the failed attempts) so heavy-tailed sizes stay
@@ -109,7 +114,7 @@ def _reaches_cap(failures, attempt_cap):
     return np.asarray(failures) >= max(attempt_cap, 1)
 
 
-def scan_rounds(n, first_batch, cap, step):
+def scan_rounds(n, first_batch, cap, step, state, results):
     """Run the rounds of a scan over ``n`` tasks, in row tiles.
 
     The first round gives every task ``first_batch`` draws; each later
@@ -119,13 +124,19 @@ def scan_rounds(n, first_batch, cap, step):
     what is left of ``cap`` (None for no cap), by which ``step`` has
     stopped every task.  Its tasks are cut into tiles of at most SCAN_TILE
     values (one task at least), and ``step(tasks, keys, u, flags)`` handles
-    one tile:
-    ``tasks`` indexes the tile's tasks (a slice while every task is active,
-    so that the first round reads and writes per-task arrays as views,
-    else an array of task indices), and ``keys`` (int64), ``u`` (float64)
-    and ``flags`` (bool) are (tasks, batch) work arrays, views of buffers
-    made once per scan and reused by every tile.  ``step`` returns which of
-    its tasks stay active.
+    one tile: ``tasks`` is a slice of the round's active tasks, and
+    ``keys`` (int64), ``u`` (float64) and ``flags`` (bool) are (tasks,
+    batch) work arrays, views of buffers made once per scan and reused by
+    every tile.  ``step`` returns which of its tasks stay active.
+
+    ``state`` maps names to the per-task arrays the steps read, each over
+    the ``n`` tasks, and a step reads its tasks' entries as views,
+    ``state[name][tasks]``: after a round in which tasks stopped, each
+    array is replaced by the entries of the tasks still active, in order.
+    A step writes only the arrays named in ``results``.  The entries of a
+    task that stops are written back to the array ``state`` first held
+    under that name, so when the scan ends those arrays hold every task's
+    last entries, in the tasks' order.
 
     A narrow tile, one with at least as many rows as columns, is laid out
     column by column (its work arrays are transposes of C-ordered blocks),
@@ -135,24 +146,35 @@ def scan_rounds(n, first_batch, cap, step):
     over the rows.  A wider tile, such as a straggler's, keeps rows.
     """
     buffers = [np.empty(SCAN_TILE, dtype=t) for t in (np.int64, float, bool)]
-    active = np.arange(n)
-    batch, drawn = first_batch, 0
-    while len(active):
+    full = {name: state[name] for name in results}
+    index = None  # once compacted, the task at each place of the arrays
+    active, batch, drawn = n, first_batch, 0
+    while active:
         if cap is not None:
             batch = min(batch, cap - drawn)
         drawn += batch
         rows = max(SCAN_TILE // batch, 1)
-        keep = np.empty(len(active), dtype=bool)
-        for lo in range(0, len(active), rows):
-            tasks = slice(lo, lo + rows) if len(active) == n else active[lo:lo + rows]
-            width = min(rows, len(active) - lo)
+        keep = np.empty(active, dtype=bool)
+        for lo in range(0, active, rows):
+            width = min(rows, active - lo)
             if width >= batch:
                 views = (buf[:width * batch].reshape(batch, width).T for buf in buffers)
             else:
                 views = (buf[:width * batch].reshape(width, batch) for buf in buffers)
-            keep[lo:lo + rows] = step(tasks, *views)
-        active = active[keep]
-        batch = min(2 * batch, max(first_batch, SCAN_TILE // max(len(active), 1)))
+            keep[lo:lo + width] = step(slice(lo, lo + width), *views)
+        kept = np.flatnonzero(keep)
+        if len(kept) < active:
+            if index is None:  # the first round wrote to the arrays in place
+                index = kept
+            else:
+                gone = np.flatnonzero(~keep)
+                for name in results:
+                    full[name][index[gone]] = state[name][gone]
+                index = index[kept]
+            for name, a in state.items():
+                state[name] = a[kept]
+        active = len(kept)
+        batch = min(2 * batch, max(first_batch, SCAN_TILE // max(active, 1)))
 
 
 def running_sums(tile):
@@ -184,14 +206,18 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
 
     Task k reads attempts offsets[k] + 1, offsets[k] + 2, ... of the mark
     lane (seed, replication[k], MARK, points[k]) in batches over the row
-    tiles of `scan_rounds`, starting at 8 marks; ``replication`` is one
-    value or one per task, so that the tasks of many replications share
-    one scan, and each task's results are those it gets alone.  Returns per
-    task the failure count, the wasted time (the failed marks, summed draw
-    by draw as `run_restart_iteration` sums them), the winning mark, and a
-    flag for a task whose failures reach ``attempt_cap``.  A flagged task
-    stops scanning and its winning mark is NaN; this never raises, so each
-    caller raises for the flagged tasks it uses.
+    tiles of `scan_rounds`, starting at 8 marks; ``replication`` and
+    ``offsets`` are one value or one per task, so that the tasks of many
+    replications share one scan, and each task's results are those it gets
+    alone.  Each lane's leading words are hashed once per scan
+    (`rng.lane_prefix`) and every tile is drawn by `rng.lane_draws` in
+    place in the scan's buffers, as exponential marks where the law is
+    `Exponential`; other laws take ``law.quantile`` of the uniforms.
+    Returns per task the failure count, the wasted time (the failed marks,
+    summed draw by draw as `run_restart_iteration` sums them), the winning
+    mark, and a flag for a task whose failures reach ``attempt_cap``.  A
+    flagged task stops scanning and its winning mark is NaN; this never
+    raises, so each caller raises for the flagged tasks it uses.
 
     With ``winners_only`` the wasted time is not summed and comes back as
     None, and the marks must be `Exponential`.  The scan then works on the
@@ -205,17 +231,20 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
     """
     points = np.asarray(points, dtype=np.int64)
     n = len(points)
-    thresholds = np.broadcast_to(np.asarray(thresholds, dtype=float), n)
-    offsets = np.broadcast_to(np.asarray(offsets, dtype=np.int64), n)
-    reps = np.asarray(replication, dtype=np.int64)
     failures = np.zeros(n, dtype=np.int64)
     wasted = None if winners_only else np.zeros(n)
     win = np.full(n, np.nan)
-    capped = np.zeros(n, dtype=bool)
+    rate = law.rate if isinstance(law, Exponential) else None
+    state = {"prefix": rng.lane_prefix(seed, replication, rng.DOMAIN_MARK, points),
+             "limit": np.broadcast_to(np.asarray(thresholds, dtype=float), n),
+             "offset": np.broadcast_to(np.asarray(offsets, dtype=np.int64), n),
+             "failures": failures, "win": win}
     if winners_only:
-        if not isinstance(law, Exponential):
+        if rate is None:
             raise ValueError("a winners-only scan needs exponential marks")
-        bound = np.nextafter(1.0 - law.tail(thresholds) * (1.0 + 2.0**-20), 0.0)
+        state["bound"] = np.nextafter(1.0 - law.tail(state["limit"]) * (1.0 + 2.0**-20), 0.0)
+    else:
+        state["wasted"] = wasted
 
     def first_above(marks, limit, flags):
         """Per row of ``marks``: the column of its first mark above
@@ -223,8 +252,8 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
         first = first_true(np.greater(marks, limit[:, None], out=flags))
         return first, marks[np.arange(len(marks)), np.minimum(first, marks.shape[1] - 1)]
 
-    def winners(tasks, u, flags, limit):
-        first = first_true(np.greater(u, bound[tasks][:, None], out=flags))
+    def winners(u, flags, limit, bound):
+        first = first_true(np.greater(u, bound[:, None], out=flags))
         cand = np.flatnonzero(first < u.shape[1])
         won = np.full(len(u), np.nan)
         won[cand] = law.quantile(u[cand, first[cand]])
@@ -234,32 +263,32 @@ def first_exceedance(law, seed, replication, points, thresholds, offsets=0,
                                                      flags[:len(unsure)])
         return first, won
 
-    def step(tasks, attempts, u, flags):
+    def step(tasks, keys, u, flags):
         batch = u.shape[1]
-        np.add((offsets[tasks] + failures[tasks])[:, None], np.arange(1, batch + 1),
-               out=attempts)
-        rng.keyed_uniform(seed, reps if reps.ndim == 0 else reps[tasks][:, None],
-                          rng.DOMAIN_MARK, points[tasks][:, None], attempts, out=u)
-        limit = thresholds[tasks]
+        done, limit = state["failures"][tasks], state["limit"][tasks]
+        rng.lane_draws(state["prefix"][tasks], done + state["offset"][tasks], u,
+                       keys.view(np.uint64), None if winners_only else rate)
         if winners_only:
-            j, won = winners(tasks, u, flags, limit)
+            j, won = winners(u, flags, limit, state["bound"][tasks])
         else:
-            marks = np.asarray(law.quantile(u), dtype=float)
+            marks = u if rate is not None else np.asarray(law.quantile(u), dtype=float)
             j, won = first_above(marks, limit, flags)  # j: failures in this batch
             # fold the running total into the first column: the running sums
             # then add one mark at a time, as the scalar loop does
-            marks[:, 0] += wasted[tasks]
-            prefix = running_sums(marks)
-            wasted[tasks] = np.where(j > 0, prefix[np.arange(len(u)), j - 1],
-                                     wasted[tasks])
+            total = state["wasted"][tasks]
+            marks[:, 0] += total
+            sums = running_sums(marks)
+            total[...] = np.where(j > 0, sums[np.arange(len(u)), j - 1], total)
         hit = j < batch
-        failures[tasks] += j
-        capped[tasks] = _reaches_cap(failures[tasks], attempt_cap)
-        win[tasks] = np.where(hit & ~capped[tasks], won, np.nan)
-        return ~hit & ~capped[tasks]
+        done += j
+        stop = _reaches_cap(done, attempt_cap)
+        state["win"][tasks] = np.where(hit & ~stop, won, np.nan)
+        return ~hit & ~stop
 
-    scan_rounds(n, 8, None if attempt_cap is None else max(attempt_cap, 1), step)
-    return failures, wasted, win, capped
+    scan_rounds(n, 8, None if attempt_cap is None else max(attempt_cap, 1), step, state,
+                ("failures", "win") if winners_only else ("failures", "win", "wasted"))
+    # a task that wins has fewer failures than the cap, which its last batch cuts
+    return failures, wasted, win, _reaches_cap(failures, attempt_cap)
 
 
 def _approx_tasks(sizes, points, law, seed, replication, offsets=0):
@@ -314,25 +343,22 @@ def simulate_restart_at_points(
     sizes = np.asarray(sizes, dtype=float)
     points = np.asarray(points, dtype=np.int64)
     reps = np.asarray(replication, dtype=np.int64)
-    if attempt_offsets is None:
-        attempt_offsets = np.zeros(len(sizes), dtype=np.int64)
-    offsets = np.asarray(attempt_offsets, dtype=np.int64)
+    offsets = np.asarray(0 if attempt_offsets is None else attempt_offsets, dtype=np.int64)
     failures = np.zeros(len(sizes))
     actual = np.zeros(len(sizes))
 
     with np.errstate(divide="ignore", over="ignore"):
-        expected_attempts = 1.0 / np.asarray(law.tail(sizes), dtype=float)
-    approximated = expected_attempts > APPROX_ATTEMPTS_THRESHOLD
+        approximated = 1.0 / np.asarray(law.tail(sizes), dtype=float) > APPROX_ATTEMPTS_THRESHOLD
     heavy = np.nonzero(approximated)[0]
     if len(heavy):
         failures[heavy], actual[heavy] = _approx_tasks(
             sizes[heavy], points[heavy], law, seed, reps if reps.ndim == 0 else reps[heavy],
-            offsets[heavy]
+            offsets if offsets.ndim == 0 else offsets[heavy]
         )
     exact = np.nonzero(~approximated)[0]
     nfail, wasted, _, _ = first_exceedance(
         law, seed, reps if reps.ndim == 0 else reps[exact], points[exact], sizes[exact],
-        offsets[exact], attempt_cap
+        offsets if offsets.ndim == 0 else offsets[exact], attempt_cap
     )
     failures[exact] = nfail
     actual[exact] = wasted + sizes[exact]

@@ -9,6 +9,17 @@ audited by recomputing any individual draw.
 The mixer is the splitmix64 finalizer chained over the key words, which
 is more than adequate statistically for Monte Carlo at the scales used
 here and is trivially vectorizable with numpy uint64 arithmetic.
+
+A lane is the draws of one ``(seed, replication, domain, point)`` at
+attempts 1, 2, ...  The scans hash each lane's four leading words once
+(`lane_prefix`) and then draw a batch of attempts of many lanes at a time
+(`lane_draws`): the attempt word's round takes (base * M1 + PHI) + j * M1,
+which is exact mod 2**64, from a table of j * M1 made once, and the
+finalizer and the conversion run in place in the caller's buffers.  For
+exponential marks the conversion and the quantile are one in-place pass,
+log1p((k + 0.5) * -2**-53) / -rate, which is -log1p(-u) / rate bit for
+bit.  Every draw equals `keyed_uniform` of its five words, and both share
+one finalizer (`_mix`) and one conversion (`_to_unit`).
 """
 
 from __future__ import annotations
@@ -59,13 +70,16 @@ def _mix_int(x):
     return x ^ x >> 31
 
 
-def _mix(x):
-    """The splitmix64 finalizer, in place on a uint64 array."""
-    x ^= x >> _S30
-    x *= _M1_U
-    x ^= x >> _S27
-    x *= _M2_U
-    x ^= x >> _S31
+def _mix(x, tmp=None):
+    """The splitmix64 finalizer, in place on a uint64 array; its shifts go
+    to ``tmp``, a uint64 array of x's shape and layout, made here when not
+    given."""
+    if tmp is None:
+        tmp = np.empty_like(x)
+    for shift, factor in ((_S30, _M1_U), (_S27, _M2_U)):
+        x ^= np.right_shift(x, shift, out=tmp)
+        x *= factor
+    x ^= np.right_shift(x, _S31, out=tmp)
     return x
 
 
@@ -119,6 +133,13 @@ def keyed_uniform(*words, out=None):
         out = np.empty(np.broadcast(*words).shape)
     bits = out.view(np.uint64)
     keyed_u64(*words, out=bits)
+    _to_unit(bits, out, 2.0**-53)
+    return out if out.ndim else out[()]
+
+
+def _to_unit(bits, out, scale):
+    """out = ((bits >> 11) + 0.5) * scale, in place: ``out`` is the memory of
+    ``bits`` as float64, contiguous in C or Fortran order."""
     bits >>= _S11
     # The top 53 bits convert exactly; read as int64 (they are below 2**63)
     # they take numpy's fast int64 conversion, not its slow uint64 one.  On
@@ -127,8 +148,52 @@ def keyed_uniform(*words, out=None):
     np.copyto(out.reshape(-1, order="A"), bits.reshape(-1, order="A").view(np.int64),
               casting="unsafe")
     out += 0.5
-    out *= 2.0**-53
-    return out if out.ndim else out[()]
+    out *= scale
+
+
+# j * M1 for j = 1, ..., 2**15 (a scan tile's widest row): the attempt
+# steps of `lane_draws`, made once.
+_STEPS = np.arange(1, (1 << 15) + 1, dtype=np.uint64) * _M1_U
+
+
+def lane_prefix(seed, replication, domain, points):
+    """Each lane's hash after its four leading words, plus PHI: what every
+    attempt's round of `lane_draws` starts from.  ``replication`` is one
+    value or one per point; returns a uint64 array over ``points``."""
+    h = keyed_u64(seed, replication, domain, np.asarray(points, dtype=np.int64))
+    h += _PHI_U
+    return h
+
+
+def lane_draws(prefix, base, out, scratch=None, rate=None):
+    """Attempts base[k] + 1, ..., base[k] + m of lane k, for an (lanes, m)
+    ``out``.
+
+    ``prefix`` is each lane's `lane_prefix` and ``base`` (int64) its last
+    attempt drawn.  Draw j of lane k is `keyed_uniform` of the lane's words
+    and attempt base[k] + j, bit for bit.  The hash, the finalizer (its
+    shifts in ``scratch``, a uint64 array of out's shape and layout, made
+    here when not given) and the conversion run in place in ``out``, a
+    contiguous (C or Fortran order) float64 array, which is returned.
+    With ``rate`` the draws are exponential marks, -log1p(-u) / rate bit
+    for bit, converted in the same pass.
+    """
+    bits = out.view(np.uint64)
+    m = out.shape[1]
+    steps = _STEPS[:m] if m <= len(_STEPS) else np.arange(1, m + 1, dtype=np.uint64) * _M1_U
+    words = as_u64(base) * _M1_U
+    words += _PHI_U
+    np.add(words[:, None], steps, out=bits)
+    bits ^= prefix[:, None]
+    _mix(bits, scratch)
+    if rate is None:
+        _to_unit(bits, out, 2.0**-53)
+    else:
+        # -u is exactly (k + 0.5) * -2**-53, and x / -rate is -(x / rate)
+        _to_unit(bits, out, -2.0**-53)
+        np.log1p(out, out=out)
+        out /= -rate
+    return out
 
 
 @dataclass

@@ -5,6 +5,7 @@ walks give: equal failures, attempts, landed checkpoints and times, or the
 same exception naming the same point.
 """
 
+import math
 from dataclasses import astuple, replace
 from unittest import mock
 
@@ -22,7 +23,7 @@ from failsim.checkpoint import (
     run_checkpointing,
     simulate_hops,
 )
-from failsim.dist import Exponential, Pareto, Weibull
+from failsim.dist import Exponential, Pareto, Weibull, parse_distribution
 from failsim.procgen import (
     MarkovRenewalSpec,
     generate_markov_renewal,
@@ -389,6 +390,101 @@ def test_winners_only_needs_exponential_marks():
             first_exceedance(law, 1, 0, [0], [1.0], 0, None, winners_only=True)
 
 
+# -- the mark lanes against the scalar draws -----------------------------------
+
+int64s = st.integers(-2**63, 2**63 - 1)
+# the exponential marks' rates that `rng.lane_draws` converts in place
+lane_rates = [1.0, 0.5, 0.3, 7.0, 1e-3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(int64s, st.lists(st.tuples(int64s, int64s, st.integers(-2**63, 2**63 - 1 - 2**15)),
+                        min_size=1, max_size=6),
+       st.sampled_from(["one", "some", "tile"]), st.integers(2, 40), st.booleans(),
+       st.sampled_from([None, *lane_rates]))
+def test_lane_draws_are_keyed_uniforms(seed, lanes, batch, some, column_major, rate):
+    # any int64 words: a lane's replication, point and last attempt drawn,
+    # batches of one draw, of a few, and of a whole scan tile, in either
+    # tile layout; with a rate, the exponential marks of those uniforms
+    reps, points, base = (np.array(c, dtype=np.int64) for c in zip(*lanes))
+    m = {"one": 1, "some": some, "tile": restart.SCAN_TILE // len(lanes)}[batch]
+    out = np.empty((m, len(lanes))).T if column_major else np.empty((len(lanes), m))
+    prefix = rng.lane_prefix(seed, reps, rng.DOMAIN_MARK, points)
+    assert rng.lane_draws(prefix, base, out, rate=rate) is out
+    want = rng.keyed_uniform(seed, reps[:, None], rng.DOMAIN_MARK, points[:, None],
+                             base[:, None] + np.arange(1, m + 1))
+    for k in range(len(lanes)):
+        for j in {1, m}:
+            assert want[k, j - 1] == keyed_uniform_reference(
+                seed, int(reps[k]), rng.DOMAIN_MARK, int(points[k]), int(base[k]) + j)
+    if rate is not None:
+        want = Exponential(rate).quantile(want)
+    assert out.tolist() == want.tolist()
+
+
+def lane_reference(law, seed, rep, point, offset, size, cap):
+    """`run_restart_iteration` over attempts offset + 1, offset + 2, ... of
+    a mark lane: (failures, wasted, winning mark, capped)."""
+    stream = rng.CounterStream(seed, rep, rng.DOMAIN_MARK, point=point, _counter=offset)
+    marks = []
+
+    def lane():
+        for mark in mark_iter(law, stream):
+            marks.append(mark)
+            yield mark
+
+    try:
+        rec = run_restart_iteration(size, lane(), attempt_cap=cap)
+    except PathologicalIterationError:
+        return len(marks), None, math.nan, True
+    wasted = 0.0
+    for mark in marks[:-1]:
+        wasted += mark
+    assert wasted + size == rec.actual
+    return rec.failures, wasted, marks[-1], False
+
+
+scan_laws = st.one_of(
+    st.sampled_from(lane_rates).map(Exponential),
+    st.builds(Pareto, st.floats(0.05, 0.5), st.floats(1.5, 3.0)),
+    st.builds(Weibull, st.floats(0.5, 2.0), st.floats(0.5, 1.0)),
+    st.just(parse_distribution("mix(0.3*exp(2),0.7*pareto(0.5,2.5))")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_laws, st.sampled_from([None, 1, 3]), int64s, tiles, st.data())
+def test_mark_scan_matches_scalar(law, cap, seed, tile, data):
+    # per-task replications and attempt offsets; thresholds at a quantile
+    # of the marks (at most 100 attempts expected, so that tasks stop over
+    # several rounds), some at one of the first marks a lane draws or just
+    # below it
+    n = 30
+    points = np.array(data.draw(st.lists(int64s, min_size=n, max_size=n)))
+    reps = np.array(data.draw(st.lists(int64s, min_size=n, max_size=n)))
+    offsets = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n)))
+    sizes = np.array([float(law.quantile(np.array([q]))[0]) for q in data.draw(
+        st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n))])
+    for k, attempt in enumerate(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))):
+        if attempt:
+            u = rng.keyed_uniform(seed, reps[k], rng.DOMAIN_MARK, points[k], offsets[k] + attempt)
+            mark = float(law.quantile(np.array([u]))[0])
+            sizes[k] = np.nextafter(mark, 0.0) if attempt % 2 else mark
+    with mock.patch.object(restart, "SCAN_TILE", tile):
+        failures, wasted, win, capped = first_exceedance(law, seed, reps, points, sizes, offsets,
+                                                         cap)
+        if isinstance(law, Exponential):
+            both_modes(law, seed, reps, points, sizes, offsets, cap)
+    for k in range(n):
+        ref = lane_reference(law, seed, int(reps[k]), int(points[k]), int(offsets[k]), sizes[k],
+                             cap)
+        assert (failures[k], capped[k]) == (ref[0], ref[3])
+        if capped[k]:
+            assert np.isnan(win[k])
+        else:
+            assert (wasted[k], win[k]) == ref[1:3]
+
+
 # -- memory: the scans hold one tile of draws at a time -------------------------
 
 
@@ -460,20 +556,33 @@ def test_keyed_uniform_refuses_words_outside_int64(word, place):
         rng.keyed_uniform(np.arange(3), *words)
 
 
+def record_draws(monkeypatch, record):
+    """Call ``record(u)`` on the buffer of every batch of draws the scans
+    make: mark lanes through `rng.lane_draws`, sizes through
+    `rng.keyed_uniform`."""
+    keyed_uniform, lane_draws = rng.keyed_uniform, rng.lane_draws
+
+    def keyed(*words, out=None):
+        u = keyed_uniform(*words, out=out)
+        record(u)
+        return u
+
+    def lanes(*args, **kwargs):
+        u = lane_draws(*args, **kwargs)
+        record(u)
+        return u
+
+    monkeypatch.setattr(rng, "keyed_uniform", keyed)
+    monkeypatch.setattr(rng, "lane_draws", lanes)
+
+
 def test_scans_draw_at_most_one_tile_per_call(monkeypatch):
     n = 10**5
     d, law = Exponential(2.0), Exponential(1.0)
     points = np.arange(n)
     sizes = keyed_sizes(d, 7, 0, points)
     drawn = []
-
-    def recording(*words, out=None):
-        u = keyed_uniform(*words, out=out)
-        drawn.append(u.size)
-        return u
-
-    keyed_uniform = rng.keyed_uniform
-    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    record_draws(monkeypatch, lambda u: drawn.append(u.size))
     failures, _, win, _ = first_exceedance(law, 7, 0, points, sizes, 0, None)
     marks = len(drawn)
     covered_checkpoints(d, 7, 0, points, sizes, win, True)
@@ -485,13 +594,7 @@ def test_scans_draw_at_most_one_tile_per_call(monkeypatch):
 def test_lone_straggler_draws_whole_tiles(monkeypatch):
     # a lone task's batch keeps doubling, up to one tile
     drawn = []
-
-    def recording(*words, out=None):
-        drawn.append(np.size(out))
-        return keyed_uniform(*words, out=out)
-
-    keyed_uniform = rng.keyed_uniform
-    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    record_draws(monkeypatch, lambda out: drawn.append(np.size(out)))
     failures, _, _, capped = first_exceedance(Exponential(1.0), 5, 0, [3], [50.0], 0, 10**5)
     assert capped[0] and failures[0] == sum(drawn)
     assert drawn[:4] == [8, 16, 32, 64] and max(drawn) == restart.SCAN_TILE
@@ -501,13 +604,7 @@ def test_crowded_scan_keeps_its_first_batch(monkeypatch):
     # 10**4 tasks that never win share a tile at 3 draws each, so the batch
     # never grows past the first 8 before the cap of 64 stops them all
     widths = []
-
-    def recording(*words, out=None):
-        widths.append(out.shape[1])
-        return keyed_uniform(*words, out=out)
-
-    keyed_uniform = rng.keyed_uniform
-    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    record_draws(monkeypatch, lambda out: widths.append(out.shape[1]))
     n = 10**4
     failures, _, _, capped = first_exceedance(Exponential(1.0), 5, 0, np.arange(n),
                                               np.full(n, np.inf), 0, 64)
@@ -522,13 +619,7 @@ def test_capped_scans_stop_at_the_cap(monkeypatch, winners_only):
     # that cannot beat 50 draws exactly 10**6 marks, and a winning mark of
     # inf covers exactly scan_cap checkpoints before it is flagged
     drawn = []
-
-    def recording(*words, out=None):
-        drawn.append(np.size(out))
-        return keyed_uniform(*words, out=out)
-
-    keyed_uniform = rng.keyed_uniform
-    monkeypatch.setattr(rng, "keyed_uniform", recording)
+    record_draws(monkeypatch, lambda out: drawn.append(np.size(out)))
     failures, _, win, capped = first_exceedance(Exponential(1.0), 5, 0, [3], [50.0], 0,
                                                 10**6, winners_only=winners_only)
     assert capped[0] and np.isnan(win[0])
@@ -655,14 +746,14 @@ def scan_tiles(monkeypatch):
     scans = []
     scan_rounds = restart.scan_rounds
 
-    def recording(n, first_batch, cap, step):
+    def recording(n, first_batch, cap, step, state, results):
         tiles = []
         scans.append(tiles)
 
         def recorded(tasks, keys, u, flags):
             tiles.append(u.shape)
             return step(tasks, keys, u, flags)
-        return scan_rounds(n, first_batch, cap, recorded)
+        return scan_rounds(n, first_batch, cap, recorded, state, results)
 
     monkeypatch.setattr(restart, "scan_rounds", recording)
     monkeypatch.setattr(checkpoint, "scan_rounds", recording)
